@@ -21,24 +21,11 @@ Reads ``benchmarks/out/results.json`` (written by the benches through
   latency under concurrent clients stays below a generous ceiling (the
   smoke run is tiny; this catches order-of-magnitude regressions like an
   accidental serialize() per request, not percentage drift).
-* ``batch_speedup_star`` — the vectorized executor must beat the
-  tuple-at-a-time baseline by at least 5× (geomean) on the paper's star
-  micro-bench queries, where whole-chunk filter kernels and columnar
-  projection carry the win (measured ~9-12×).
-* ``batch_speedup_chain`` — multi-hop chain queries are hash-probe
-  bound (one dict lookup per left row is inherently scalar work), so
-  their ceiling is far lower than stars: the floor is 1.5× (measured
-  ~2-3×). A drop below it means batching regressed on probe-heavy
-  plans, not that the 5× star target moved.
 * ``plan_regret_geomean`` — the cost-based join orderer's chosen plans
   must stay within 1.3× (geomean) of the best enumerated alternative's
   measured work on the plan battery, counted in deterministic
   intermediate-row ticks (measured ~1.0×; the meter cannot flake on
   CI load because it counts rows, not seconds).
-* ``dict_encode_overhead`` — dictionary-interning TEXT values during
-  store build must cost at most 10% over a plain-string load (the
-  encode path is fused into the per-cell column op; measured ~0-5%,
-  reported as a median of alternating rounds to cancel machine drift).
 * ``wal_flush_overhead`` — the default ``flush`` durability level
   (unbuffered framed writes, crash-safe against process death) must
   cost at most 5% over ``durability=none`` on batched commits; the
@@ -52,17 +39,19 @@ from __future__ import annotations
 import json
 import pathlib
 
-MIN_WARM_COMPILE_SPEEDUP = 10.0
-MAX_PROFILE_OFF_OVERHEAD = 0.05
-MIN_UPDATE_CACHE_RETENTION = 0.9
-MAX_GUARDRAILS_OFF_OVERHEAD = 0.03
-MAX_SNAPSHOT_OFF_OVERHEAD = 0.03
-MAX_SERVE_P50_MS = 150.0
-MIN_BATCH_SPEEDUP_STAR = 5.0
-MIN_BATCH_SPEEDUP_CHAIN = 1.5
-MAX_DICT_ENCODE_OVERHEAD = 0.10
-MAX_PLAN_REGRET_GEOMEAN = 1.3
-MAX_WAL_FLUSH_OVERHEAD = 0.05
+
+#: (key, floor|ceiling, bound, value format, bound format[, value format
+#: on the ok line when it differs])
+GATES = [
+    ("warm_compile_speedup", "floor", 10.0, "{:.1f}x", "{:.0f}x"),
+    ("profile_off_overhead", "ceiling", 0.05, "{:.1%}", "{:.0%}"),
+    ("update_warm_cache_retention", "floor", 0.9, "{:.0%}", "{:.0%}"),
+    ("guardrails_off_overhead", "ceiling", 0.03, "{:.1%}", "{:.0%}"),
+    ("snapshot_off_overhead", "ceiling", 0.03, "{:.1%}", "{:.0%}"),
+    ("serve_p50_ms", "ceiling", 150.0, "{:.1f} ms", "{:.0f} ms"),
+    ("wal_flush_overhead", "ceiling", 0.05, "{:.1%}", "{:.0%}", "{:+.1%}"),
+    ("plan_regret_geomean", "ceiling", 1.3, "{:.3f}x", "{:.1f}x"),
+]
 
 RESULTS = pathlib.Path(__file__).parent / "out" / "results.json"
 
@@ -74,125 +63,19 @@ def main() -> int:
     metrics = json.loads(RESULTS.read_text())
     failures: list[str] = []
 
-    speedup = metrics.get("warm_compile_speedup")
-    if speedup is None:
-        failures.append("warm_compile_speedup was not recorded")
-    elif speedup < MIN_WARM_COMPILE_SPEEDUP:
-        failures.append(
-            f"warm_compile_speedup {speedup:.1f}x < "
-            f"{MIN_WARM_COMPILE_SPEEDUP:.0f}x floor"
-        )
-    else:
-        print(f"ok: warm_compile_speedup {speedup:.1f}x "
-              f"(floor {MIN_WARM_COMPILE_SPEEDUP:.0f}x)")
-
-    overhead = metrics.get("profile_off_overhead")
-    if overhead is None:
-        failures.append("profile_off_overhead was not recorded")
-    elif overhead > MAX_PROFILE_OFF_OVERHEAD:
-        failures.append(
-            f"profile_off_overhead {overhead * 100:.1f}% > "
-            f"{MAX_PROFILE_OFF_OVERHEAD * 100:.0f}% ceiling"
-        )
-    else:
-        print(f"ok: profile_off_overhead {overhead * 100:.1f}% "
-              f"(ceiling {MAX_PROFILE_OFF_OVERHEAD * 100:.0f}%)")
-
-    retention = metrics.get("update_warm_cache_retention")
-    if retention is None:
-        failures.append("update_warm_cache_retention was not recorded")
-    elif retention < MIN_UPDATE_CACHE_RETENTION:
-        failures.append(
-            f"update_warm_cache_retention {retention * 100:.0f}% < "
-            f"{MIN_UPDATE_CACHE_RETENTION * 100:.0f}% floor"
-        )
-    else:
-        print(f"ok: update_warm_cache_retention {retention * 100:.0f}% "
-              f"(floor {MIN_UPDATE_CACHE_RETENTION * 100:.0f}%)")
-
-    guard_off = metrics.get("guardrails_off_overhead")
-    if guard_off is None:
-        failures.append("guardrails_off_overhead was not recorded")
-    elif guard_off > MAX_GUARDRAILS_OFF_OVERHEAD:
-        failures.append(
-            f"guardrails_off_overhead {guard_off * 100:.1f}% > "
-            f"{MAX_GUARDRAILS_OFF_OVERHEAD * 100:.0f}% ceiling"
-        )
-    else:
-        print(f"ok: guardrails_off_overhead {guard_off * 100:.1f}% "
-              f"(ceiling {MAX_GUARDRAILS_OFF_OVERHEAD * 100:.0f}%)")
-
-    snap_off = metrics.get("snapshot_off_overhead")
-    if snap_off is None:
-        failures.append("snapshot_off_overhead was not recorded")
-    elif snap_off > MAX_SNAPSHOT_OFF_OVERHEAD:
-        failures.append(
-            f"snapshot_off_overhead {snap_off * 100:.1f}% > "
-            f"{MAX_SNAPSHOT_OFF_OVERHEAD * 100:.0f}% ceiling"
-        )
-    else:
-        print(f"ok: snapshot_off_overhead {snap_off * 100:.1f}% "
-              f"(ceiling {MAX_SNAPSHOT_OFF_OVERHEAD * 100:.0f}%)")
-
-    serve_p50 = metrics.get("serve_p50_ms")
-    if serve_p50 is None:
-        failures.append("serve_p50_ms was not recorded")
-    elif serve_p50 > MAX_SERVE_P50_MS:
-        failures.append(
-            f"serve_p50_ms {serve_p50:.1f} ms > "
-            f"{MAX_SERVE_P50_MS:.0f} ms ceiling"
-        )
-    else:
-        print(f"ok: serve_p50_ms {serve_p50:.1f} ms "
-              f"(ceiling {MAX_SERVE_P50_MS:.0f} ms)")
-
-    star = metrics.get("batch_speedup_star")
-    if star is None:
-        failures.append("batch_speedup_star was not recorded")
-    elif star < MIN_BATCH_SPEEDUP_STAR:
-        failures.append(
-            f"batch_speedup_star {star:.2f}x < "
-            f"{MIN_BATCH_SPEEDUP_STAR:.0f}x floor"
-        )
-    else:
-        print(f"ok: batch_speedup_star {star:.2f}x "
-              f"(floor {MIN_BATCH_SPEEDUP_STAR:.0f}x)")
-
-    chain = metrics.get("batch_speedup_chain")
-    if chain is None:
-        failures.append("batch_speedup_chain was not recorded")
-    elif chain < MIN_BATCH_SPEEDUP_CHAIN:
-        failures.append(
-            f"batch_speedup_chain {chain:.2f}x < "
-            f"{MIN_BATCH_SPEEDUP_CHAIN:.1f}x floor"
-        )
-    else:
-        print(f"ok: batch_speedup_chain {chain:.2f}x "
-              f"(floor {MIN_BATCH_SPEEDUP_CHAIN:.1f}x)")
-
-    encode = metrics.get("dict_encode_overhead")
-    if encode is None:
-        failures.append("dict_encode_overhead was not recorded")
-    elif encode > MAX_DICT_ENCODE_OVERHEAD:
-        failures.append(
-            f"dict_encode_overhead {encode * 100:.1f}% > "
-            f"{MAX_DICT_ENCODE_OVERHEAD * 100:.0f}% ceiling"
-        )
-    else:
-        print(f"ok: dict_encode_overhead {encode * 100:+.1f}% "
-              f"(ceiling {MAX_DICT_ENCODE_OVERHEAD * 100:.0f}%)")
-
-    flush = metrics.get("wal_flush_overhead")
-    if flush is None:
-        failures.append("wal_flush_overhead was not recorded")
-    elif flush > MAX_WAL_FLUSH_OVERHEAD:
-        failures.append(
-            f"wal_flush_overhead {flush * 100:.1f}% > "
-            f"{MAX_WAL_FLUSH_OVERHEAD * 100:.0f}% ceiling"
-        )
-    else:
-        print(f"ok: wal_flush_overhead {flush * 100:+.1f}% "
-              f"(ceiling {MAX_WAL_FLUSH_OVERHEAD * 100:.0f}%)")
+    for key, kind, bound, fmt, bound_fmt, *ok_fmt in GATES:
+        value = metrics.get(key)
+        shown_bound = bound_fmt.format(bound)
+        if value is None:
+            failures.append(f"{key} was not recorded")
+        elif value < bound if kind == "floor" else value > bound:
+            relation = "<" if kind == "floor" else ">"
+            failures.append(
+                f"{key} {fmt.format(value)} {relation} {shown_bound} {kind}"
+            )
+        else:
+            shown = (ok_fmt[0] if ok_fmt else fmt).format(value)
+            print(f"ok: {key} {shown} ({kind} {shown_bound})")
 
     on_overhead = metrics.get("profile_on_overhead")
     if on_overhead is not None:  # informational, not gated
@@ -222,18 +105,6 @@ def main() -> int:
     if serve_qps is not None:  # informational, not gated
         print(f"info: serve_throughput_qps {serve_qps:.0f}")
 
-    regret = metrics.get("plan_regret_geomean")
-    if regret is None:
-        failures.append("plan_regret_geomean was not recorded")
-    elif regret > MAX_PLAN_REGRET_GEOMEAN:
-        failures.append(
-            f"plan_regret_geomean {regret:.3f}x > "
-            f"{MAX_PLAN_REGRET_GEOMEAN:.1f}x ceiling"
-        )
-    else:
-        print(f"ok: plan_regret_geomean {regret:.3f}x "
-              f"(ceiling {MAX_PLAN_REGRET_GEOMEAN:.1f}x)")
-
     regret_max = metrics.get("plan_regret_max")
     if regret_max is not None:  # informational, not gated
         print(f"info: plan_regret_max {regret_max:.3f}x")
@@ -241,14 +112,6 @@ def main() -> int:
     cost_fraction = metrics.get("plan_cost_fraction")
     if cost_fraction is not None:  # informational, not gated
         print(f"info: plan_cost_fraction {cost_fraction * 100:.0f}%")
-
-    lubm_speedup = metrics.get("batch_speedup_lubm")
-    if lubm_speedup is not None:  # informational, not gated
-        print(f"info: batch_speedup_lubm {lubm_speedup:.2f}x")
-
-    best_size = metrics.get("batch_best_size_star")
-    if best_size is not None:  # informational, not gated
-        print(f"info: batch_best_size_star {best_size}")
 
     for failure in failures:
         print(f"REGRESSION: {failure}")

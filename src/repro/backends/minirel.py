@@ -6,7 +6,7 @@ import time
 from typing import Any, Iterable, Sequence
 
 from ..relational import ast
-from ..relational.catalog import DEFAULT_BATCH_SIZE, Database
+from ..relational.catalog import Database
 from ..relational.types import ColumnType
 from .base import Backend
 
@@ -30,21 +30,15 @@ class MiniRelSnapshot:
 class MiniRelBackend(Backend):
     """The default backend: :class:`repro.relational.Database` in-process.
 
-    ``batch_size`` selects the vectorized executor (0 = tuple-at-a-time,
-    the measured baseline); ``intern_terms`` dictionary-encodes TEXT
-    values (RDF term keys) into integer ids, decoded only at the result
-    boundary. Both default on — the fast configuration.
+    TEXT values (RDF term keys) are dictionary-encoded into integer ids
+    and decoded only at the result boundary.
     """
 
     name = "minirel"
     supports_snapshots = True
 
-    def __init__(
-        self,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        intern_terms: bool = True,
-    ) -> None:
-        self.db = Database(batch_size=batch_size, intern_strings=intern_terms)
+    def __init__(self) -> None:
+        self.db = Database()
         self._index_counter = 0
 
     def create_table(

@@ -1,8 +1,8 @@
 """RDF-term view of the relational string dictionary.
 
-With ``MiniRelBackend(intern_terms=True)`` (the default), every TEXT value
-the store writes — term keys in DPH/DS/RPH/RS cells, entry columns, lid
-markers — is interned to a dense integer id by the relational layer's
+On the minirel backend every TEXT value the store writes — term keys in
+DPH/DS/RPH/RS cells, entry columns, lid markers — is interned to a dense
+integer id by the relational layer's
 :class:`~repro.relational.dictionary.StringDictionary`. Query execution
 then compares, hashes, and joins ids; lexical forms reappear only when a
 result set crosses the ``execute`` boundary (late materialization).
@@ -65,8 +65,8 @@ class TermDictionary:
 
 
 def term_dictionary_of(backend: Any) -> TermDictionary | None:
-    """The backend's term dictionary, or None when interning is off (or the
-    backend has no dictionary at all, e.g. sqlite)."""
+    """The backend's term dictionary, or None when the backend has no
+    dictionary (e.g. sqlite)."""
     db = getattr(backend, "db", None)
     strings = getattr(db, "dictionary", None)
     if strings is None:

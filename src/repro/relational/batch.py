@@ -1,25 +1,23 @@
 """Vectorized execution: operators over fixed-size row batches.
 
-The tuple-at-a-time pipeline in :mod:`executor` pays Python generator and
-closure overhead for every row. This module provides the batched
-equivalents: operators stream *chunks* (lists of up to ``batch_size`` row
-tuples), so per-row interpreter work collapses into slice copies, list
-comprehensions, and ``map(itemgetter(...), ...)`` — all of which run inside
-the interpreter's C loops.
+Operators stream *chunks* (lists of up to :data:`CHUNK_SIZE` row tuples)
+instead of single rows, so per-row interpreter work collapses into slice
+copies, list comprehensions, and ``map(itemgetter(...), ...)`` — all of
+which run inside the interpreter's C loops.
 
 Two kinds of building blocks live here:
 
 * **Batch operators** (``seq_scan_batches``, ``filter_batches``, the
   joins): generator functions over chunk iterators. Guardrails move to
   per-chunk ``Ticker.tick_batch(len(chunk))`` calls, which count *logical
-  rows*, so row budgets and deadlines keep tuple-at-a-time semantics.
+  rows*, so row budgets and deadlines do not depend on the chunk size.
 * **Kernel compilers** (``compile_filter_kernel``,
   ``compile_projection_kernel``): translate a restricted but hot subset of
   expression ASTs — conjunctions/disjunctions of equalities over columns,
   constants, and COALESCE chains, NULL tests, COALESCE projections — into
   a single compiled comprehension, eliminating the per-row closure tree.
   Anything outside the subset returns ``None`` and the caller falls back
-  to evaluating the compiled scalar expression per row *within* the batch,
+  to evaluating the compiled row-wise expression per row *within* the batch,
   so semantics never depend on kernel coverage.
 
 Kernel equality uses Python ``==`` where it provably agrees with SQL ``=``
@@ -53,14 +51,19 @@ Chunks = Iterator[Chunk]
 FilterKernel = Callable[[Chunk], Chunk]
 ProjectionKernel = Callable[[list], list]
 
+#: rows per chunk; read at call time, so tests can monkeypatch it to hit
+#: chunk-boundary cases (results and tick counts never depend on it)
+CHUNK_SIZE = 256
+
 
 def flatten(chunks: Iterable[Chunk]) -> Iterator[Row]:
     """Stream the rows of a chunk iterator (C-speed chain)."""
     return chain.from_iterable(chunks)
 
 
-def chunked(rows: Iterable[Row], size: int) -> Chunks:
-    """Re-batch a row iterator into chunks of up to ``size``."""
+def chunked(rows: Iterable[Row]) -> Chunks:
+    """Re-batch a row iterator into chunks of up to :data:`CHUNK_SIZE`."""
+    size = CHUNK_SIZE
     chunk: Chunk = []
     for row in rows:
         chunk.append(row)
@@ -71,8 +74,9 @@ def chunked(rows: Iterable[Row], size: int) -> Chunks:
         yield chunk
 
 
-def chunk_list(rows: list, size: int) -> Chunks:
+def chunk_list(rows: list) -> Chunks:
     """Slice a materialized row list into chunks (CTE / subquery scans)."""
+    size = CHUNK_SIZE
     for start in range(0, len(rows), size):
         yield rows[start:start + size]
 
@@ -80,13 +84,11 @@ def chunk_list(rows: list, size: int) -> Chunks:
 # ---------------------------------------------------------------- operators
 
 
-def seq_scan_batches(
-    table: Table, ticker: Ticker, version: int | None, size: int
-) -> Chunks:
+def seq_scan_batches(table: Table, ticker: Ticker, version: int | None) -> Chunks:
     batches = (
-        table.scan_batches(size)
+        table.scan_batches(CHUNK_SIZE)
         if version is None
-        else table.scan_at_batches(version, size)
+        else chunked(table.scan_at(version))
     )
     tick = ticker.tick_batch
     for chunk in batches:
@@ -95,16 +97,9 @@ def seq_scan_batches(
 
 
 def index_scan_batches(
-    index: HashIndex, key: tuple, ticker: Ticker, version: int | None, size: int
+    index: HashIndex, key: tuple, ticker: Ticker, version: int | None
 ) -> Chunks:
-    chunk: Chunk = []
-    for row in index.lookup(key, version):
-        chunk.append(row)
-        if len(chunk) >= size:
-            ticker.tick_batch(len(chunk))
-            yield chunk
-            chunk = []
-    if chunk:
+    for chunk in chunked(index.lookup(key, version)):
         ticker.tick_batch(len(chunk))
         yield chunk
 
@@ -144,7 +139,7 @@ def hash_join_batches(
     ticker: Ticker,
 ) -> Chunks:
     """Batched equi hash join (LEFT OUTER when ``outer``); NULL keys never
-    match, mirroring the scalar operator."""
+    match (SQL equality is unknown on NULL)."""
     tick = ticker.tick_batch
     buckets: dict[Any, list[Row]] = {}
     if len(right_slots) == 1:
@@ -303,10 +298,9 @@ def nested_loop_join_batches(
     condition: Evaluator | None,
     outer: bool,
     ticker: Ticker,
-    size: int,
 ) -> Chunks:
-    """Fallback non-equi join: delegates to the scalar operator (it is the
-    rare path) and re-batches its output."""
+    """Fallback non-equi join: delegates to the row-wise operator (it is
+    the rare path) and re-batches its output."""
     joined = nested_loop_join(
         flatten(left_chunks),
         lambda: flatten(right_chunks_factory()),
@@ -315,7 +309,7 @@ def nested_loop_join_batches(
         outer,
         ticker,
     )
-    return chunked(joined, size)
+    return chunked(joined)
 
 
 # ------------------------------------------------------------------ kernels
@@ -336,7 +330,7 @@ def _params(consts: list) -> str:
 
 #: provenance tri-state for an equality operand's value space
 _TEXT = object()  # only None or EncodedString (an interned TEXT value)
-_PLAIN = object()  # never EncodedString (numeric column, or no dictionary)
+_PLAIN = object()  # never EncodedString (numeric column)
 _ANY = object()  # unknown mix: encoded ids and plain values may coexist
 
 
@@ -348,7 +342,7 @@ class _KernelCtx:
     def __init__(
         self,
         scope: Scope,
-        dictionary: StringDictionary | None,
+        dictionary: StringDictionary,
         column_types: list[ColumnType | None] | None,
     ) -> None:
         self.scope = scope
@@ -372,8 +366,6 @@ class _KernelCtx:
         return f"({name} := {src})", name
 
     def tri(self, slot: int) -> object:
-        if self.dictionary is None:
-            return _PLAIN
         affinity = (
             self.types[slot]
             if self.types is not None and slot < len(self.types)
@@ -389,7 +381,7 @@ class _KernelCtx:
 def compile_filter_kernel(
     expr: ast.Expr,
     scope: Scope,
-    dictionary: StringDictionary | None,
+    dictionary: StringDictionary,
     column_types: list[ColumnType | None] | None = None,
 ) -> FilterKernel | None:
     """A whole-chunk filter for the supported predicate subset, or None.
@@ -442,11 +434,6 @@ def _column_slot(expr: ast.Expr, scope: Scope) -> int | None:
         return scope.resolve(expr)
     except PlanError:
         return None
-
-
-def _bind(consts: list, value: Any) -> str:
-    consts.append(value)
-    return f"_c{len(consts) - 1}"
 
 
 def _value_ref(

@@ -12,9 +12,6 @@ from .mvcc import MvccController
 from .table import Table, TableSchema
 from .types import ColumnType
 
-#: default rows per execution batch (0 = tuple-at-a-time)
-DEFAULT_BATCH_SIZE = 256
-
 
 class Database:
     """A collection of named tables and indexes plus ``execute()``.
@@ -23,27 +20,17 @@ class Database:
     standalone (``db.execute("SELECT ...")`` with SQL text) or programmatically
     with AST statements, which is how the RDF store drives it.
 
-    ``batch_size`` selects the vectorized executor: operators stream lists
-    of up to that many rows instead of single tuples (0 restores the
-    tuple-at-a-time pipeline, kept as the measured baseline).
-    ``intern_strings`` dictionary-encodes every TEXT value at insert time;
-    results are decoded back to text at this ``execute`` boundary, so
-    callers never observe ids (late materialization).
+    Every TEXT value is dictionary-encoded at insert time; results are
+    decoded back to text at this ``execute`` boundary, so callers never
+    observe ids (late materialization).
     """
 
-    def __init__(
-        self,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        intern_strings: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
         self.tables: dict[str, Table] = {}
         self.indexes: dict[str, HashIndex] = {}
         #: snapshot-read version state shared by every table
         self.mvcc = MvccController()
-        self.batch_size = batch_size
-        self.dictionary: StringDictionary | None = (
-            StringDictionary() if intern_strings else None
-        )
+        self.dictionary = StringDictionary()
 
     # ------------------------------------------------------------------ DDL
 
@@ -59,8 +46,7 @@ class Database:
                 return self.tables[key]
             raise CatalogError(f"table {name!r} already exists")
         table = Table(TableSchema(name, columns))
-        if self.dictionary is not None:
-            table.set_dictionary(self.dictionary)
+        table.set_dictionary(self.dictionary)
         self.mvcc.register(table)
         self.tables[key] = table
         return table
@@ -144,8 +130,6 @@ class Database:
 
     def _materialize(self, result: "QueryResult") -> "QueryResult":
         """Decode dictionary ids back to text at the result boundary."""
-        if self.dictionary is None:
-            return result
         # Decoded rows no longer honor affinity claims ("TEXT slots hold
         # only ids"); drop them so stale claims cannot leak into planning.
         result.column_types = None

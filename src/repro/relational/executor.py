@@ -1,9 +1,9 @@
-"""Low-level execution operators: scans, joins, aggregation, and timeouts.
+"""Row-level execution pieces: guardrail ticker, aggregation, fallback join.
 
-Operators are generator functions over row tuples. The planner composes them
-into a pipeline; every operator that can loop unboundedly threads a
-:class:`Ticker` so long queries abort cooperatively, which is how the
-benchmark harness reproduces the paper's timeout classification.
+The chunked operators the planner composes live in :mod:`batch`; every one
+that can loop unboundedly threads a :class:`Ticker` so long queries abort
+cooperatively, which is how the benchmark harness reproduces the paper's
+timeout classification.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from typing import Any, Callable, Iterable, Iterator
 from .dictionary import EncodedString
 from .errors import QueryTimeout
 from .expressions import Evaluator
-from .index import HashIndex
-from .table import Table
 
 Row = tuple
 
@@ -63,12 +61,11 @@ class Ticker:
                 raise QueryTimeout("query exceeded its deadline")
 
     def tick_batch(self, count: int) -> None:
-        """Account ``count`` logical rows at once (the batched executor's
-        per-chunk equivalent of ``count`` scalar ticks).
+        """Account ``count`` logical rows at once (one call per chunk).
 
         Row budgets count *rows inside the batch*, not batches: a 1-row
         ``max_intermediate_rows`` budget trips on the first chunk of a
-        larger scan, exactly as the tuple-at-a-time pipeline would."""
+        larger scan, whatever the chunk size."""
         if not self.active or count <= 0:
             return
         budget = self.budget
@@ -86,115 +83,6 @@ class Ticker:
                 if budget is not None:
                     budget.trip("timeout")
                 raise QueryTimeout("query exceeded its deadline")
-
-
-def seq_scan(
-    table: Table, ticker: Ticker, version: int | None = None
-) -> Iterator[Row]:
-    rows = table.scan() if version is None else table.scan_at(version)
-    for row in rows:
-        ticker.tick()
-        yield row
-
-
-def index_scan(
-    index: HashIndex, key: tuple, ticker: Ticker, version: int | None = None
-) -> Iterator[Row]:
-    for row in index.lookup(key, version):
-        ticker.tick()
-        yield row
-
-
-def filter_rows(
-    rows: Iterable[Row], condition: Evaluator, ticker: Ticker
-) -> Iterator[Row]:
-    for row in rows:
-        ticker.tick()
-        if condition(row) is True:
-            yield row
-
-
-def project_rows(
-    rows: Iterable[Row], evaluators: list[Evaluator], ticker: Ticker
-) -> Iterator[Row]:
-    for row in rows:
-        ticker.tick()
-        yield tuple(evaluator(row) for evaluator in evaluators)
-
-
-def hash_join(
-    left_rows: Iterable[Row],
-    right_rows: Iterable[Row],
-    left_key: Callable[[Row], tuple],
-    right_key: Callable[[Row], tuple],
-    right_width: int,
-    residual: Evaluator | None,
-    outer: bool,
-    ticker: Ticker,
-) -> Iterator[Row]:
-    """Equi hash join; ``outer=True`` gives LEFT OUTER semantics.
-
-    Keys containing NULL never match (SQL equality is unknown on NULL).
-    ``residual`` is evaluated on the concatenated row and must be True for a
-    match; for outer joins a left row with no surviving match is emitted
-    padded with NULLs.
-    """
-    buckets: dict[tuple, list[Row]] = {}
-    for row in right_rows:
-        ticker.tick()
-        key = right_key(row)
-        if any(value is None for value in key):
-            continue
-        buckets.setdefault(key, []).append(row)
-
-    null_pad = (None,) * right_width
-    for left_row in left_rows:
-        ticker.tick()
-        key = left_key(left_row)
-        matched = False
-        if not any(value is None for value in key):
-            for right_row in buckets.get(key, ()):
-                ticker.tick()
-                combined = left_row + right_row
-                if residual is None or residual(combined) is True:
-                    matched = True
-                    yield combined
-        if outer and not matched:
-            yield left_row + null_pad
-
-
-def index_nested_loop_join(
-    left_rows: Iterable[Row],
-    index: HashIndex,
-    probe_key: Callable[[Row], tuple],
-    right_width: int,
-    right_filter: Evaluator | None,
-    residual: Evaluator | None,
-    outer: bool,
-    ticker: Ticker,
-    version: int | None = None,
-) -> Iterator[Row]:
-    """Join by probing a hash index on the right table per left row.
-
-    ``right_filter`` is evaluated on the right row alone (pushed-down
-    conditions); ``residual`` on the concatenated row.
-    """
-    null_pad = (None,) * right_width
-    for left_row in left_rows:
-        ticker.tick()
-        key = probe_key(left_row)
-        matched = False
-        if not any(value is None for value in key):
-            for right_row in index.lookup(key, version):
-                ticker.tick()
-                if right_filter is not None and right_filter(right_row) is not True:
-                    continue
-                combined = left_row + right_row
-                if residual is None or residual(combined) is True:
-                    matched = True
-                    yield combined
-        if outer and not matched:
-            yield left_row + null_pad
 
 
 def nested_loop_join(
@@ -221,15 +109,6 @@ def nested_loop_join(
                 yield combined
         if outer and not matched:
             yield left_row + null_pad
-
-
-def distinct_rows(rows: Iterable[Row], ticker: Ticker) -> Iterator[Row]:
-    seen: set[Row] = set()
-    for row in rows:
-        ticker.tick()
-        if row not in seen:
-            seen.add(row)
-            yield row
 
 
 class AggregateState:

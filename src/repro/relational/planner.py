@@ -10,12 +10,13 @@ joins for the rest, and a final filter/aggregate/sort/limit pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from . import ast
 from .batch import (
+    Chunk,
+    Chunks,
     chunk_list,
-    chunked,
     compile_filter_kernel,
     compile_projection_kernel,
     filter_batches,
@@ -23,37 +24,28 @@ from .batch import (
     hash_join_batches,
     index_join_batches,
     index_scan_batches,
+    nested_loop_join_batches,
     seq_scan_batches,
 )
 from .catalog import Database, QueryResult
 from .errors import PlanError
-from .executor import (
-    AggregateState,
-    Ticker,
-    count_star_sentinel,
-    filter_rows,
-    hash_join,
-    index_nested_loop_join,
-    index_scan,
-    nested_loop_join,
-    seq_scan,
-)
+from .executor import AggregateState, Ticker, count_star_sentinel
 from .expressions import Scope, compile_expr, contains_aggregate, expr_columns
 from .index import HashIndex, find_index
 from .table import Table
 from .types import ColumnType, sort_key
 
 Row = tuple
-RowsFactory = Callable[[], Iterator[Row]]
+ChunksFactory = Callable[[], Chunks]
 
 
 @dataclass
 class PlannedUnit:
-    """One planned FROM unit: its scope, a re-iterable row source, and the
+    """One planned FROM unit: its scope, a re-iterable chunk source, and the
     base table when the unit is a direct table reference (enables index use)."""
 
     scope: Scope
-    factory: RowsFactory
+    factory: ChunksFactory
     base: Table | None
     #: per-slot column affinities aligned with ``scope`` (None entries =
     #: unknown provenance); lets filter kernels pick exact equality forms
@@ -71,10 +63,11 @@ def run_statement(
     """Execute any statement against ``db``.
 
     ``trace`` is an optional parent span (duck-typed against
-    ``repro.core.observe.Span``: ``child`` / ``set`` / ``inc`` / ``meter``
-    / ``count``). When supplied, every operator the planner builds reports
-    rows-in/rows-out and inclusive time under it; when ``None`` (the
-    default) the operator pipelines are exactly the uninstrumented ones.
+    ``repro.core.observe.Span``: ``child`` / ``set`` / ``inc`` /
+    ``meter_batches`` / ``count_batches`` / ``count``). When supplied,
+    every operator the planner builds reports rows-in/rows-out and
+    inclusive time under it; when ``None`` (the default) the operator
+    pipelines are exactly the uninstrumented ones.
     ``budget`` (duck-typed, ``repro.core.resilience.Budget``) threads
     per-query guardrails into every operator's :class:`Ticker`.
     """
@@ -100,7 +93,7 @@ def run_statement(
     if isinstance(statement, ast.Insert):
         return _run_insert(db, statement)
     if isinstance(statement, ast.Delete):
-        return _run_delete(db, statement, deadline)
+        return _run_delete(db, statement)
     if isinstance(statement, ast.Update):
         return _run_update(db, statement)
     if isinstance(statement, ast.DropTable):
@@ -127,9 +120,7 @@ def _run_insert(db: Database, statement: ast.Insert) -> QueryResult:
     return QueryResult(["rowcount"], [(count,)])
 
 
-def _run_delete(
-    db: Database, statement: ast.Delete, deadline: float | None
-) -> QueryResult:
+def _run_delete(db: Database, statement: ast.Delete) -> QueryResult:
     table = db.table(statement.table)
     scope = Scope([(table.name, c) for c in table.schema.column_names])
     condition = (
@@ -190,10 +181,6 @@ class Planner:
         self.trace = trace
         #: MVCC snapshot version every table scan pins (None = latest)
         self.version = version
-        #: rows per chunk for the vectorized pipeline (0 = tuple-at-a-time);
-        #: when set, every FROM source streams chunks and operators use the
-        #: batched equivalents from :mod:`batch`
-        self.batch = db.batch_size or 0
 
     # ------------------------------------------------------------- queries
 
@@ -294,12 +281,11 @@ class Planner:
     # -------------------------------------------------------------- select
 
     def _execute_select(self, select: ast.Select) -> QueryResult:
-        scope, scope_types, rows = self._plan_from_where(select)
-        if self.batch:
-            # The pipeline streamed chunks; downstream consumers (aggregate
-            # loop, materialization) take rows. chain.from_iterable is a
-            # C-level flatten, so this keeps the batched wins.
-            rows = flatten(rows)
+        scope, scope_types, chunks = self._plan_from_where(select)
+        # The pipeline streams chunks; downstream consumers (aggregate loop,
+        # materialization) take rows. chain.from_iterable is a C-level
+        # flatten, so this keeps the batched wins.
+        rows: Iterable[Row] = flatten(chunks)
 
         is_aggregate = (
             bool(select.group_by)
@@ -334,11 +320,9 @@ class Planner:
                 _rewrite_with_index(expr, self._agg_index) for expr in item_exprs
             ]
         evaluators = [compile_expr(expr, scope) for expr in item_exprs]
-        # Batch mode: project whole row lists through a compiled kernel
-        # (itemgetter / generated comprehension) when the items allow it.
-        kernel = (
-            compile_projection_kernel(item_exprs, scope) if self.batch else None
-        )
+        # Project whole row lists through a compiled kernel (itemgetter /
+        # generated comprehension) when the items allow it.
+        kernel = compile_projection_kernel(item_exprs, scope)
 
         def project(rows_list: list[Row]) -> list[Row]:
             if kernel is not None:
@@ -371,9 +355,8 @@ class Planner:
             if order_plan:
                 projected = _sort_projected(projected, order_plan)
         projected = _apply_limit(projected, select.limit, select.offset)
-        if self.db.dictionary is not None and (
-            is_aggregate
-            or any(not isinstance(expr, ast.Column) for expr in item_exprs)
+        if is_aggregate or any(
+            not isinstance(expr, ast.Column) for expr in item_exprs
         ):
             # Pure-column projections are canonical by induction (base TEXT
             # columns are interned; CTE/subquery results were canonicalized
@@ -478,18 +461,15 @@ class Planner:
 
     def _plan_from_where(
         self, select: ast.Select
-    ) -> tuple[Scope, list[ColumnType | None] | None, Iterable[Row]]:
-        """Plan FROM/WHERE; returns (scope, per-slot affinities, rows)."""
+    ) -> tuple[Scope, list[ColumnType | None] | None, Chunks]:
+        """Plan FROM/WHERE; returns (scope, per-slot affinities, chunks)."""
         if select.from_ is None:
             scope = Scope([])
-            rows: Iterable[Row] = [()]
+            chunk: Chunk = [()]
             if select.where is not None:
                 condition = compile_expr(select.where, scope)
-                rows = [row for row in rows if condition(row) is True]
-            if self.batch:
-                chunk = list(rows)
-                return scope, [], iter([chunk] if chunk else [])
-            return scope, [], rows
+                chunk = [row for row in chunk if condition(row) is True]
+            return scope, [], iter([chunk] if chunk else [])
 
         units = _flatten_from(select.from_)
         remaining = ast.split_conjuncts(select.where)
@@ -498,19 +478,16 @@ class Planner:
         planned = self._plan_unit(first_item)
         scope = planned.scope
         types = planned.types
-        rows: Iterable[Row] = None  # type: ignore[assignment]
-        rows, remaining, used_base_index = self._apply_local(
-            planned, remaining
-        )
+        rows, remaining = self._apply_local(planned, remaining)
 
         for item, kind, on in units[1:]:
             right = self._plan_unit(item)
             outer = kind == "LEFT"
             merged = scope.merged_with(right.scope)
-            if outer:
-                candidates = ast.split_conjuncts(on)
-            else:
-                candidates = ast.split_conjuncts(on)
+            candidates = ast.split_conjuncts(on)
+            if not outer:
+                # WHERE conjuncts that become resolvable with this unit
+                # join the ON candidates (inner joins only).
                 pulled = []
                 for conjunct in remaining:
                     if _resolves_in(conjunct, merged) and not _resolves_in(
@@ -523,10 +500,6 @@ class Planner:
             rows = self._join(scope, types, rows, right, candidates, outer)
             types = _merge_types(types, len(scope), right.types, len(right.scope))
             scope = merged
-            if not outer:
-                # conjuncts that became resolvable only now (rare) were pulled
-                # above; nothing else to do here
-                pass
 
         # Apply any still-unapplied conjuncts (e.g. IS NULL over LEFT joins).
         leftovers = []
@@ -535,15 +508,13 @@ class Planner:
                 raise PlanError(f"cannot resolve WHERE condition {conjunct!r}")
             leftovers.append(conjunct)
         if leftovers:
-            conjoined = ast.conjoin(leftovers)
-            condition = compile_expr(conjoined, scope)
-            rows = self._filtered(
-                rows, condition, expr=conjoined, scope=scope, column_types=types
-            )
+            rows = self._filtered(rows, ast.conjoin(leftovers), scope, types)
         return scope, types, rows
 
-    def _metered(self, factory: RowsFactory, name: str, **attrs) -> RowsFactory:
-        """Wrap a row-source factory in an operator span when tracing.
+    def _metered(
+        self, factory: ChunksFactory, name: str, **attrs
+    ) -> ChunksFactory:
+        """Wrap a chunk-source factory in an operator span when tracing.
 
         The span is created on first use — a factory the planner ends up
         bypassing (e.g. a seq scan displaced by an index probe) leaves no
@@ -553,21 +524,17 @@ class Planner:
             return factory
         parent = self.trace
         state: dict[str, Any] = {}
-        batched = self.batch > 0
 
-        def wrapped() -> Iterator[Row]:
+        def wrapped() -> Chunks:
             span = state.get("span")
             if span is None:
                 span = parent.child(name, **attrs)
                 state["span"] = span
-            if batched:
-                return _meter_chunks(span, factory(), batched)
-            return span.meter(factory())
+            return span.meter_batches(factory())
 
         return wrapped
 
     def _plan_unit(self, item: ast.FromItem) -> PlannedUnit:
-        batch = self.batch
         if isinstance(item, ast.TableRef):
             key = item.name.lower()
             if key in self.cte_env:
@@ -576,10 +543,7 @@ class Planner:
                 scope = Scope([(binding, name) for name in result.columns])
                 rows_list = result.rows
                 factory = self._metered(
-                    (lambda: chunk_list(rows_list, batch))
-                    if batch
-                    else (lambda: iter(rows_list)),
-                    f"cte-scan {item.name}",
+                    lambda: chunk_list(rows_list), f"cte-scan {item.name}"
                 )
                 return PlannedUnit(
                     scope, factory, None, getattr(result, "column_types", None)
@@ -590,9 +554,7 @@ class Planner:
             ticker = self.ticker
             version = self.version
             factory = self._metered(
-                (lambda: seq_scan_batches(table, ticker, version, batch))
-                if batch
-                else (lambda: seq_scan(table, ticker, version)),
+                lambda: seq_scan_batches(table, ticker, version),
                 f"seq-scan {table.name}",
                 table_rows=len(table),
             )
@@ -603,122 +565,87 @@ class Planner:
             result = self.execute_query(item.query)
             scope = Scope([(item.alias, name) for name in result.columns])
             rows_list = result.rows
-            result_types = getattr(result, "column_types", None)
-            if batch:
-                return PlannedUnit(
-                    scope, lambda: chunk_list(rows_list, batch), None, result_types
-                )
-            return PlannedUnit(scope, lambda: iter(rows_list), None, result_types)
+            return PlannedUnit(
+                scope,
+                lambda: chunk_list(rows_list),
+                None,
+                getattr(result, "column_types", None),
+            )
         if isinstance(item, ast.Join):
             # A parenthesized join subtree: plan it as a nested pipeline.
             sub_select = ast.Select(items=(ast.SelectItem.star(),), from_=item)
-            sub_scope, sub_types, sub_rows = self._plan_from_where(sub_select)
-            if batch:
-                rows_list = [row for chunk in sub_rows for row in chunk]
-                return PlannedUnit(
-                    sub_scope, lambda: chunk_list(rows_list, batch), None, sub_types
-                )
-            rows_list = list(sub_rows)
+            sub_scope, sub_types, sub_chunks = self._plan_from_where(sub_select)
+            rows_list = list(flatten(sub_chunks))
             return PlannedUnit(
-                sub_scope, lambda: iter(rows_list), None, sub_types
+                sub_scope, lambda: chunk_list(rows_list), None, sub_types
             )
         raise PlanError(f"cannot plan FROM item {item!r}")
 
     def _apply_local(
         self, planned: PlannedUnit, remaining: list[ast.Expr]
-    ) -> tuple[Iterable[Row], list[ast.Expr], bool]:
+    ) -> tuple[Chunks, list[ast.Expr]]:
         """Apply WHERE conjuncts local to a just-planned first unit, using an
         index for constant equality when available."""
         local = [c for c in remaining if _resolves_in(c, planned.scope)]
         rest = [c for c in remaining if c not in local]
-        used_index = False
-        rows: Iterable[Row]
+        index_match = None
         if planned.base is not None and local:
-            index_match = _find_const_index_lookup(planned.base, planned.scope, local)
-            if index_match is not None:
-                index, key, leftovers = index_match
-                if self.batch:
-                    rows = index_scan_batches(
-                        index, key, self.ticker, self.version, self.batch
-                    )
-                else:
-                    rows = index_scan(index, key, self.ticker, self.version)
-                if self.trace is not None:
-                    span = self.trace.child(
-                        f"index-scan {planned.base.name}", index=index.name
-                    )
-                    rows = (
-                        _meter_chunks(span, rows, self.batch)
-                        if self.batch
-                        else span.meter(rows)
-                    )
-                local = leftovers
-                used_index = True
-            else:
-                rows = planned.factory()
+            index_match = _find_const_index_lookup(
+                planned.base, planned.scope, local
+            )
+        if index_match is not None:
+            index, key, local = index_match
+            rows = index_scan_batches(index, key, self.ticker, self.version)
+            if self.trace is not None:
+                span = self.trace.child(
+                    f"index-scan {planned.base.name}", index=index.name
+                )
+                rows = span.meter_batches(rows)
         else:
             rows = planned.factory()
         if local:
-            conjoined = ast.conjoin(local)
-            condition = compile_expr(conjoined, planned.scope)
             rows = self._filtered(
-                rows,
-                condition,
-                expr=conjoined,
-                scope=planned.scope,
-                column_types=planned.types,
+                rows, ast.conjoin(local), planned.scope, planned.types
             )
-        return rows, rest, used_index
+        return rows, rest
 
     def _filtered(
         self,
-        rows: Iterable[Row],
-        condition: Any,
-        expr: ast.Expr | None = None,
-        scope: Scope | None = None,
-        column_types: list[ColumnType] | None = None,
-    ) -> Iterable[Row]:
+        rows: Chunks,
+        expr: ast.Expr,
+        scope: Scope,
+        column_types: list[ColumnType | None] | None,
+    ) -> Chunks:
         """A filter operator, metered (rows-in/rows-out/time) when tracing.
 
-        In batch mode ``rows`` is a chunk iterator; when the predicate AST
-        (``expr`` + ``scope``) is supplied, a whole-chunk kernel is compiled
-        for the supported subset, otherwise the scalar ``condition`` runs
-        per row inside each chunk."""
-        if not self.batch:
-            if self.trace is None:
-                return filter_rows(rows, condition, self.ticker)
-            span = self.trace.child("filter")
-            return span.meter(
-                filter_rows(span.count(rows, "rows_in"), condition, self.ticker)
-            )
-        kernel = None
-        if expr is not None and scope is not None:
-            kernel = compile_filter_kernel(
-                expr, scope, self.db.dictionary, column_types
-            )
+        A whole-chunk kernel is compiled from the predicate AST for the
+        supported subset; otherwise the row-wise evaluator runs per row
+        inside each chunk."""
+        kernel = compile_filter_kernel(
+            expr, scope, self.db.dictionary, column_types
+        )
+        condition = compile_expr(expr, scope) if kernel is None else None
         if self.trace is None:
             return filter_batches(rows, kernel, condition, self.ticker)
         span = self.trace.child("filter")
-        return _meter_chunks(
-            span,
+        return span.meter_batches(
             filter_batches(
-                _count_chunks(span, rows, "rows_in", self.batch),
+                span.count_batches(rows, "rows_in"),
                 kernel,
                 condition,
                 self.ticker,
-            ),
-            self.batch,
+            )
         )
 
     def _join(
         self,
         left_scope: Scope,
         left_types: list[ColumnType | None] | None,
-        left_rows: Iterable[Row],
+        left_rows: Chunks,
         right: PlannedUnit,
         candidates: list[ast.Expr],
         outer: bool,
-    ) -> Iterator[Row]:
+    ) -> Chunks:
         merged = left_scope.merged_with(right.scope)
         merged_types = _merge_types(
             left_types, len(left_scope), right.types, len(right.scope)
@@ -747,16 +674,11 @@ class Planner:
             post_residual = residual
             residual = []
 
-        def _finish(joined: Iterable[Row]) -> Iterable[Row]:
+        def _finish(joined: Chunks) -> Chunks:
             if not post_residual:
                 return joined
-            conjoined = ast.conjoin(post_residual)
             return self._filtered(
-                joined,
-                compile_expr(conjoined, merged),
-                expr=conjoined,
-                scope=merged,
-                column_types=merged_types,
+                joined, ast.conjoin(post_residual), merged, merged_types
             )
 
         residual_eval = (
@@ -782,127 +704,72 @@ class Planner:
                 span = self.trace.child(
                     f"index-join {right.base.name}", outer=outer
                 )
-                if self.batch:
-                    return _finish(
-                        _meter_chunks(
-                            span,
-                            probe(
-                                _count_chunks(
-                                    span, left_rows, "rows_in_left", self.batch
-                                )
-                            ),
-                            self.batch,
-                        )
-                    )
                 return _finish(
-                    span.meter(probe(span.count(left_rows, "rows_in_left")))
+                    span.meter_batches(
+                        probe(span.count_batches(left_rows, "rows_in_left"))
+                    )
                 )
 
         if equi_pairs:
             left_slots = [left_scope.resolve(left_col) for left_col, _ in equi_pairs]
             right_slots = [right.scope.resolve(right_col) for _, right_col in equi_pairs]
-            right_rows: Iterable[Row] = right.factory()
+            right_rows = right.factory()
             if right_only:
-                right_conjoined = ast.conjoin(right_only)
-                right_condition = compile_expr(right_conjoined, right.scope)
                 right_rows = self._filtered(
-                    right_rows,
-                    right_condition,
-                    expr=right_conjoined,
-                    scope=right.scope,
-                    column_types=right.types,
+                    right_rows, ast.conjoin(right_only), right.scope, right.types
                 )
             span = None if self.trace is None else self.trace.child(
                 "hash-join", outer=outer
             )
-            if self.batch:
-                if span is not None:
-                    left_rows = _count_chunks(
-                        span, left_rows, "rows_in_left", self.batch
-                    )
-                    right_rows = _count_chunks(
-                        span, right_rows, "rows_in_right", self.batch
-                    )
-                joined = hash_join_batches(
-                    left_rows,
-                    right_rows,
-                    left_slots,
-                    right_slots,
-                    len(right.scope),
-                    residual_eval,
-                    outer,
-                    self.ticker,
-                )
-                return _finish(
-                    joined if span is None else _meter_chunks(
-                        span, joined, self.batch
-                    )
-                )
             if span is not None:
-                left_rows = span.count(left_rows, "rows_in_left")
-                right_rows = span.count(right_rows, "rows_in_right")
-            joined = hash_join(
+                left_rows = span.count_batches(left_rows, "rows_in_left")
+                right_rows = span.count_batches(right_rows, "rows_in_right")
+            joined = hash_join_batches(
                 left_rows,
                 right_rows,
-                lambda row: tuple(row[s] for s in left_slots),
-                lambda row: tuple(row[s] for s in right_slots),
+                left_slots,
+                right_slots,
                 len(right.scope),
                 residual_eval,
                 outer,
                 self.ticker,
             )
-            return _finish(joined if span is None else span.meter(joined))
+            return _finish(joined if span is None else span.meter_batches(joined))
 
-        # No equi keys: nested loop with the full condition. In batch mode
-        # the scalar operator is reused (this is the rare non-equi path):
-        # both sides are flattened to rows and the output is re-chunked.
-        condition_parts = residual[:]
-        if self.batch:
-            left_rows = flatten(left_rows)
-            chunk_factory = right.factory
-
-            def _flat_right() -> Iterator[Row]:
-                return flatten(chunk_factory())
-
-            right_factory = _flat_right
-        else:
-            right_factory = right.factory
+        # No equi keys: nested loop with the full condition (the rare
+        # non-equi path; the operator flattens both sides and re-chunks).
+        right_factory = right.factory
         if right_only:
             right_condition = compile_expr(ast.conjoin(right_only), right.scope)
             ticker = self.ticker
             base_factory = right_factory
 
-            def _filtered_right() -> Iterator[Row]:
-                return filter_rows(base_factory(), right_condition, ticker)
+            def _filtered_right() -> Chunks:
+                return filter_batches(
+                    base_factory(), None, right_condition, ticker
+                )
 
             right_factory = _filtered_right
-        condition = (
-            compile_expr(ast.conjoin(condition_parts), merged)
-            if condition_parts
-            else None
-        )
         span = None if self.trace is None else self.trace.child(
             "nested-loop-join", outer=outer
         )
         if span is not None:
-            left_rows = span.count(left_rows, "rows_in_left")
+            left_rows = span.count_batches(left_rows, "rows_in_left")
             inner_factory = right_factory
 
-            def _counted_right() -> Iterator[Row]:
-                return span.count(inner_factory(), "rows_in_right")
+            def _counted_right() -> Chunks:
+                return span.count_batches(inner_factory(), "rows_in_right")
 
             right_factory = _counted_right
-        joined = nested_loop_join(
+        joined = nested_loop_join_batches(
             left_rows,
             right_factory,
             len(right.scope),
-            condition,
+            residual_eval,
             outer,
             self.ticker,
         )
-        if span is not None:
-            joined = span.meter(joined)
-        return _finish(chunked(joined, self.batch) if self.batch else joined)
+        return _finish(joined if span is None else span.meter_batches(joined))
 
     def _try_index_probe(
         self,
@@ -965,28 +832,12 @@ class Planner:
             ticker = self.ticker
             width = len(right.scope)
             version = self.version
-            if self.batch:
 
-                def probe(left_chunks, index=index, left_slot=left_slot):
-                    return index_join_batches(
-                        left_chunks,
-                        index,
-                        left_slot,
-                        width,
-                        right_filter,
-                        combined_residual,
-                        outer,
-                        ticker,
-                        version,
-                    )
-
-                return probe
-
-            def probe(left_rows, index=index, left_slot=left_slot):
-                return index_nested_loop_join(
-                    left_rows,
+            def probe(left_chunks, index=index, left_slot=left_slot):
+                return index_join_batches(
+                    left_chunks,
                     index,
-                    lambda row: (row[left_slot],),
+                    left_slot,
                     width,
                     right_filter,
                     combined_residual,
@@ -1188,25 +1039,6 @@ def _canonicalize_rows(rows: list[Row], lookup: Any) -> None:
                 break
 
 
-def _meter_chunks(span: Any, chunks: Iterable, size: int = 256) -> Iterable:
-    """``span.meter`` for chunk streams (counts logical rows).
-
-    Spans are duck-typed; one without ``meter_batches`` gets the scalar
-    meter over a flattened stream, re-chunked for the pipeline."""
-    metered = getattr(span, "meter_batches", None)
-    if metered is not None:
-        return metered(chunks)
-    return chunked(span.meter(flatten(chunks)), size)
-
-
-def _count_chunks(span: Any, chunks: Iterable, key: str, size: int = 256) -> Iterable:
-    """``span.count`` for chunk streams (counts logical rows)."""
-    counted = getattr(span, "count_batches", None)
-    if counted is not None:
-        return counted(chunks, key)
-    return chunked(span.count(flatten(chunks), key), size)
-
-
 def _sort_projected(
     rows: list[Row], order_plan: list[tuple[str, Any, bool]]
 ) -> list[Row]:
@@ -1304,19 +1136,16 @@ def _find_const_index_lookup(
 def _encode_probe_value(table: Table, column_name: str, value: Any) -> Any:
     """Translate an index-probe constant into the stored representation.
 
-    With string interning on, TEXT columns hold dictionary ids, so the
-    probe key must be the constant's id. A constant the dictionary has
-    never seen — or a non-text constant probing a TEXT column — cannot
-    match any stored value; an unmatchable sentinel keeps the probe (and
-    its empty result) instead of falling back to a scan."""
-    dictionary = table.dictionary
-    if dictionary is None:
-        return value
+    TEXT columns hold dictionary ids, so the probe key must be the
+    constant's id. A constant the dictionary has never seen — or a non-text
+    constant probing a TEXT column — cannot match any stored value; an
+    unmatchable sentinel keeps the probe (and its empty result) instead of
+    falling back to a scan."""
     position = table.schema.position(column_name)
     if table.schema.column_types[position] is not ColumnType.TEXT:
         return value
     if isinstance(value, str):
-        encoded = dictionary.lookup(value)
+        encoded = table.dictionary.lookup(value)
         if encoded is not None:
             return encoded
     return _NEVER_MATCHES

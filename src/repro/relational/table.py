@@ -251,19 +251,6 @@ class Table:
         if chunk:
             yield chunk
 
-    def scan_at_batches(self, version: int, size: int) -> Iterator[list[tuple]]:
-        """Batched :meth:`scan_at` (snapshot visibility checked per row)."""
-        scan = self.scan_at(version)
-        while True:
-            chunk = []
-            for row in scan:
-                chunk.append(row)
-                if len(chunk) >= size:
-                    break
-            if not chunk:
-                return
-            yield chunk
-
     def scan_with_ids(self) -> Iterator[tuple[int, tuple]]:
         if not self.died:
             for row_id, row in enumerate(self.rows):

@@ -176,7 +176,7 @@ class WalStatus:
     """Read-only health summary (see :func:`inspect_wal`)."""
 
     path: str
-    format: str  #: "segmented-v1" | "legacy-v0" | "absent"
+    format: str  #: "segmented-v1" | "unsupported" | "absent"
     segments: int = 0
     records: int = 0
     last_txn: int = 0
@@ -336,15 +336,18 @@ def inspect_wal(
 ) -> WalStatus:
     """Read-only health check: never repairs, never raises.
 
-    Scans the full journal (legacy single-file or segmented layout),
-    verifying every frame and checksum, and reports what it found — the
-    engine behind ``repro wal info`` and backup verification.
+    Scans the full journal, verifying every frame and checksum, and
+    reports what it found — the engine behind ``repro wal info`` and
+    backup verification.
     """
     target = Path(path)
     if not target.exists():
         return WalStatus(path=str(target), format="absent")
     if target.is_file():
-        return _inspect_legacy(target, max_record_bytes)
+        return WalStatus(
+            path=str(target), format="unsupported", ok=False,
+            error=_not_a_directory(target),
+        )
     status = WalStatus(path=str(target), format="segmented-v1")
     ckpt_txn, ckpt_path, ckpt_ops, corrupt_ckpts = _find_checkpoint(
         target, max_record_bytes
@@ -376,16 +379,11 @@ def inspect_wal(
     return status
 
 
-def _inspect_legacy(path: Path, max_record_bytes: int) -> WalStatus:
-    status = WalStatus(path=str(path), format="legacy-v0")
-    try:
-        for txn_id, _ops in _replay_legacy(path, max_record_bytes):
-            status.records += 1
-            status.last_txn = max(status.last_txn, txn_id)
-    except WalError as exc:
-        status.ok = False
-        status.error = str(exc)
-    return status
+def _not_a_directory(path: Path) -> str:
+    return (
+        f"{path} is a regular file, not a journal directory: the v0 "
+        "single-file journal format is not supported"
+    )
 
 
 def _segment_paths(directory: Path) -> list[Path]:
@@ -449,66 +447,16 @@ def _find_checkpoint(
     return 0, None, 0, corrupt
 
 
-# ------------------------------------------------------------- legacy format
-
-
-def _replay_legacy(
-    path: Path, max_record_bytes: int
-) -> Iterator[tuple[int, list[WalOp]]]:
-    """Replay a v0 journal: loose JSONL, no checksums, torn tail tolerated."""
-    limit = max_record_bytes
-    with open(path, "r", encoding="utf-8") as handle:
-        index = 0
-        while True:
-            line = handle.readline(limit + 1)
-            if not line:
-                return
-            index += 1
-            if len(line) > limit and not line.endswith("\n"):
-                raise WalError(
-                    f"journal record at {path}:{index} exceeds "
-                    f"max_record_bytes={limit}"
-                )
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-                txn_id = int(record["txn"])
-                ops = _parse_ops(record["ops"])
-            except (ValueError, KeyError, TypeError) as exc:
-                if _rest_is_blank(handle):
-                    return  # torn tail: the crash the journal exists for
-                raise WalCorruptionError(
-                    f"corrupt journal record at {path}:{index}: {exc}",
-                    segment=str(path), index=index,
-                ) from exc
-            yield txn_id, ops
-
-
-def _rest_is_blank(handle: Any) -> bool:
-    position = handle.tell()
-    try:
-        while True:
-            chunk = handle.read(8192)
-            if not chunk:
-                return True
-            if chunk.strip():
-                return False
-    finally:
-        handle.seek(position)
-
-
 # -------------------------------------------------------------------- journal
 
 
 class WriteAheadLog:
     """A durable, replayable, checksummed journal rooted at ``path``.
 
-    ``path`` is the journal *directory* (created on first use); a
-    pre-existing v0 single-file journal at the same path is migrated into
-    the segmented layout on open. ``sync=True`` is accepted for backward
-    compatibility and means ``durability="fsync"``.
+    ``path`` is the journal *directory* (created on first use); a regular
+    file there — e.g. a v0 single-file journal — is refused with
+    :class:`WalError` and left untouched. ``sync=True`` is accepted for
+    backward compatibility and means ``durability="fsync"``.
 
     ``checkpoint_every_bytes`` / ``checkpoint_every_records`` arm
     :meth:`should_checkpoint`, which the transaction layer consults after
@@ -605,9 +553,8 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ open
 
     def _open_journal(self) -> None:
-        self._maybe_finish_migration()
-        if self.path.exists() and self.path.is_file():
-            self._migrate_legacy()
+        if self.path.is_file():
+            raise WalError(_not_a_directory(self.path))
         self.path.mkdir(parents=True, exist_ok=True)
         for stale in self.path.glob("*.tmp"):
             stale.unlink()  # unpublished writes from a crashed process
@@ -731,45 +678,6 @@ class WriteAheadLog:
         info.records_dropped += max(count, 1)
         if repair:
             seg_path.rename(seg_path.with_suffix(".seg.dropped"))
-
-    # ------------------------------------------------------------- migration
-
-    def _migration_marker(self) -> Path:
-        return self.path.with_name(self.path.name + ".migrating")
-
-    def _maybe_finish_migration(self) -> None:
-        """A crash mid-migration leaves the original at ``*.migrating`` —
-        throw away the partial directory and redo from the original."""
-        marker = self._migration_marker()
-        if not marker.exists():
-            return
-        if self.path.is_dir():
-            shutil.rmtree(self.path)
-        os.replace(marker, self.path)
-
-    def _migrate_legacy(self) -> None:
-        """Convert a v0 single-file journal into the segmented layout."""
-        records = list(_replay_legacy(self.path, self.max_record_bytes))
-        marker = self._migration_marker()
-        os.replace(self.path, marker)
-        self.path.mkdir()
-        if records:
-            seg_path = self.path / _segment_name(1)
-            with open(seg_path, "wb") as handle:
-                for txn_id, ops in records:
-                    payload = json.dumps(
-                        {"txn": txn_id, "ops": [list(op) for op in ops]},
-                        separators=(",", ":"),
-                    ).encode("utf-8")
-                    handle.write(_frame(_RECORD_MAGIC, payload))
-                handle.flush()
-                os.fsync(handle.fileno())
-        _fsync_dir(self.path)
-        marker.unlink()
-        logger.info(
-            "journal %s: migrated %d legacy record(s) to the segmented "
-            "layout", self.path, len(records),
-        )
 
     # -------------------------------------------------------------- manifest
 

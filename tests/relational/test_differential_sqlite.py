@@ -46,10 +46,10 @@ def engines():
     return mini, lite
 
 
-def both(engines, sql_text: str, ordered: bool = False):
+def both(engines, sql_text: str, ordered: bool = False, **mini_kwargs):
     mini, lite = engines
     (statement,) = parse_sql(sql_text)
-    mini_rows = mini.execute(statement).rows
+    mini_rows = mini.execute(statement, **mini_kwargs).rows
     lite_rows = lite.execute(render_statement(statement)).fetchall()
     if ordered:
         assert mini_rows == lite_rows, sql_text

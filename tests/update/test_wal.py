@@ -1,8 +1,8 @@
 """The write-ahead journal: framing, checksums, recovery policies, replay.
 
 Covers the segmented layout end to end — append/replay round trips, torn
-tails vs real corruption under both recovery policies, the legacy-format
-migration, durability levels, and the replay edge cases (empty journal,
+tails vs real corruption under both recovery policies, the refusal of a
+single-file journal, durability levels, and the replay edge cases (empty journal,
 only a torn record, double replay, the max_record_bytes boundary).
 """
 
@@ -14,6 +14,7 @@ import logging
 import pytest
 
 from repro import RdfStore, Triple, URI
+from repro.cli import EXIT_WAL, main
 from repro.update import (
     TransactionError,
     WalCorruptionError,
@@ -258,58 +259,28 @@ class TestRecordCap:
         assert len(list(WriteAheadLog(path, max_record_bytes=65536).replay())) == 2
 
 
-class TestLegacyMigration:
-    def test_legacy_single_file_journal_is_migrated(self, tmp_path):
+class TestSingleFileJournalRefused:
+    def test_regular_file_at_journal_path_is_refused_untouched(
+        self, tmp_path, capsys
+    ):
+        """A v0 single-file journal is neither replayed, treated as absent,
+        nor overwritten: every entry point names the unsupported format."""
         path = tmp_path / "j.wal"
-        path.write_text(
+        original = (
             json.dumps({"txn": 1, "ops": [["+", "a", "p", "b"]]}) + "\n"
-            + json.dumps({"txn": 2, "ops": [["-", "a", "p", "b"]]}) + "\n"
-        )
-        wal = WriteAheadLog(path)
-        assert path.is_dir()
-        assert list(wal.replay()) == [
-            (1, [("+", "a", "p", "b")]),
-            (2, [("-", "a", "p", "b")]),
-        ]
-        assert wal.append([("+", "c", "p", "d")]) == 3
-
-    def test_legacy_torn_tail_still_tolerated(self, tmp_path):
-        path = tmp_path / "j.wal"
-        path.write_text(
-            json.dumps({"txn": 1, "ops": [["+", "a", "p", "b"]]}) + "\n"
-            + '{"txn": 2, "ops": [["+"'  # crash mid-write, old format
-        )
-        wal = WriteAheadLog(path)
-        assert [txn for txn, _ in wal.replay()] == [1]
-
-    def test_legacy_interior_corruption_raises(self, tmp_path):
-        path = tmp_path / "j.wal"
-        path.write_text(
-            '{"bogus": true}\n'
-            + json.dumps({"txn": 2, "ops": []}) + "\n"
-        )
-        with pytest.raises(WalCorruptionError):
+        ).encode()
+        path.write_bytes(original)
+        with pytest.raises(WalError, match="v0 single-file journal format"):
             WriteAheadLog(path)
-
-    def test_empty_legacy_file_migrates_to_empty_journal(self, tmp_path):
-        path = tmp_path / "j.wal"
-        path.write_text("")
-        wal = WriteAheadLog(path)
-        assert path.is_dir()
-        assert list(wal.replay()) == []
-        assert wal.append([("+", "a", "p", "b")]) == 1
-
-    def test_crashed_migration_is_redone_on_next_open(self, tmp_path):
-        path = tmp_path / "j.wal"
-        marker = tmp_path / "j.wal.migrating"
-        marker.write_text(
-            json.dumps({"txn": 1, "ops": [["+", "a", "p", "b"]]}) + "\n"
-        )
-        path.mkdir()  # the partial directory the crash left behind
-        (path / "wal-00000001.seg").write_bytes(b"half-written garbage")
-        wal = WriteAheadLog(path)
-        assert list(wal.replay()) == [(1, [("+", "a", "p", "b")])]
-        assert not marker.exists()
+        with pytest.raises(WalError, match="not a journal directory"):
+            RdfStore.from_graph(figure1_graph(), wal_path=path)
+        status = inspect_wal(path)
+        assert status.format == "unsupported"
+        assert not status.ok and "not supported" in status.error
+        assert main(["wal", "info", str(path)]) == EXIT_WAL
+        assert "error (wal)" in capsys.readouterr().err
+        assert path.read_bytes() == original
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["j.wal"]
 
 
 class TestDurabilityLevels:
@@ -388,14 +359,6 @@ class TestInspect:
         assert not status.ok
         assert segment.name in status.error
         assert segment.read_bytes() == damaged  # read-only, no repair
-
-    def test_inspect_legacy_format(self, tmp_path):
-        path = tmp_path / "j.wal"
-        path.write_text(json.dumps({"txn": 1, "ops": [["+", "a", "p", "b"]]}) + "\n")
-        status = inspect_wal(path)
-        assert status.format == "legacy-v0"
-        assert status.ok
-        assert status.records == 1
 
 
 class TestStoreRecovery:
