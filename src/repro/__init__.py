@@ -14,18 +14,14 @@ from .backends import Backend, MiniRelBackend, SqliteBackend
 from .core import (
     Budget,
     BudgetExceededError,
-    ChaosBackend,
     CircuitBreaker,
     CircuitOpenError,
     DatasetStatistics,
-    Fault,
-    FaultPlan,
     GuardrailError,
     QueryTimeoutError,
     RdfStore,
     ResilientBackend,
     RetryPolicy,
-    SimulatedCrash,
     StoreReport,
     TransientFaultError,
     UnsupportedQueryError,
@@ -41,13 +37,10 @@ __all__ = [
     "Backend",
     "Budget",
     "BudgetExceededError",
-    "ChaosBackend",
     "CircuitBreaker",
     "CircuitOpenError",
     "DatasetStatistics",
     "EngineConfig",
-    "Fault",
-    "FaultPlan",
     "Graph",
     "GuardrailError",
     "Literal",
@@ -58,7 +51,6 @@ __all__ = [
     "ResilientBackend",
     "RetryPolicy",
     "SelectResult",
-    "SimulatedCrash",
     "SqliteBackend",
     "StoreReport",
     "TransientFaultError",

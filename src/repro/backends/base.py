@@ -4,13 +4,20 @@ The paper's system sits on DB2; this reproduction runs identically on two
 back-ends — the pure-Python engine and stdlib sqlite3 — behind this small
 interface. The translator emits SQL ASTs; each backend decides whether to
 execute the AST directly or render it to text first.
+
+The surface is stated once. :class:`Backend` declares it — one
+``execute`` entry point, traced or not depending on its ``tracer``
+argument — and :class:`BackendInterposer` is the one place that forwards
+all of it to a wrapped backend, so a wrapper (retry/circuit breaking,
+fault injection) overrides a single ``_around`` hook instead of
+re-listing every method.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..relational import ast
 from ..relational.types import ColumnType
@@ -78,6 +85,7 @@ class Backend(abc.ABC):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
+        tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
         """Run a statement; returns (column names, rows).
 
@@ -90,6 +98,11 @@ class Backend(abc.ABC):
         ``snapshot`` is a handle from :meth:`open_snapshot`; when given,
         the statement reads the point-in-time state the handle pins
         instead of the latest state.
+        ``tracer`` is an optional ``repro.core.observe.Tracer`` (duck-typed,
+        so backends need no dependency on the observability layer): when
+        enabled, the backend reports its work under a ``<name>.execute``
+        span — the minirel planner meters every operator, sqlite attaches
+        its ``EXPLAIN QUERY PLAN``. Rows are identical either way.
         """
 
     # ------------------------------------------------------ write brackets
@@ -119,34 +132,6 @@ class Backend(abc.ABC):
     def row_count(self, table_name: str) -> int:
         """Number of rows in a table (cheap metadata access)."""
 
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
-        tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        """Run a statement under a tracer (``repro.core.observe.Tracer``).
-
-        The default wraps :meth:`execute` in a single span with the result
-        rowcount; backends override it to report finer-grained work (the
-        minirel planner meters every operator, sqlite attaches its
-        ``EXPLAIN QUERY PLAN``). The tracer is duck-typed so backends need
-        no dependency on the observability layer; ``None`` degrades to a
-        plain :meth:`execute`.
-        """
-        if tracer is None or not tracer.enabled:
-            return self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
-        with tracer.span(f"{self.name}.execute") as span:
-            columns, rows = self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
-            span.set("rows_out", len(rows))
-        return columns, rows
-
     def sql_text(self, statement: ast.Statement) -> str:
         """Render a statement to this backend's SQL dialect (for EXPLAIN-style
         introspection; both backends share the SQLite-ish dialect). Renders
@@ -156,3 +141,107 @@ class Backend(abc.ABC):
             memo = RenderMemo()
             self._render_memo = memo
         return memo.render(statement)
+
+
+class BackendInterposer(Backend):
+    """A backend that wraps another: the whole surface, forwarded once.
+
+    The four operations that do work on the store's behalf —
+    ``create_table``, ``create_index``, ``insert_many``, ``execute`` —
+    pass through :meth:`_around`, the single hook a wrapper overrides.
+    Everything else (write brackets, snapshots, catalog metadata, SQL
+    rendering, backend extras such as ``explain_query_plan`` / ``db`` /
+    ``connection``) goes straight to ``inner`` and never reaches the
+    hook, so a wrapper's per-operation accounting (fault numbering,
+    breaker state) sees exactly those four.
+    """
+
+    def __init__(self, inner: Backend) -> None:
+        self.inner = inner
+
+    def _around(self, op: str, call: Callable[[], Any]) -> Any:
+        """Run ``call`` (the forwarded operation named ``op``)."""
+        return call()
+
+    # ----------------------------------------------------- hooked operations
+
+    def create_table(
+        self,
+        table_name: str,
+        columns: Sequence[tuple[str, ColumnType]],
+        if_not_exists: bool = False,
+    ) -> None:
+        self._around(
+            "create_table",
+            lambda: self.inner.create_table(table_name, columns, if_not_exists),
+        )
+
+    def create_index(
+        self, index_name: str, table_name: str, columns: Sequence[str]
+    ) -> None:
+        self._around(
+            "create_index",
+            lambda: self.inner.create_index(index_name, table_name, columns),
+        )
+
+    def insert_many(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
+        return self._around(
+            "insert_many", lambda: self.inner.insert_many(table_name, rows)
+        )
+
+    def execute(
+        self,
+        statement: ast.Statement | str,
+        timeout: float | None = None,
+        budget: Any = None,
+        snapshot: Any = None,
+        tracer: Any = None,
+    ) -> tuple[list[str], list[tuple]]:
+        return self._around(
+            "execute",
+            lambda: self.inner.execute(
+                statement,
+                timeout=timeout,
+                budget=budget,
+                snapshot=snapshot,
+                tracer=tracer,
+            ),
+        )
+
+    # ------------------------------------------------------ plain forwarding
+    # Backend has defaults for these, so ``__getattr__`` would never fire
+    # and the inner backend's MVCC machinery would be silently skipped.
+
+    @property
+    def supports_snapshots(self) -> bool:  # type: ignore[override]
+        return self.inner.supports_snapshots
+
+    def begin_write(self) -> None:
+        self.inner.begin_write()
+
+    def commit_write(self) -> None:
+        self.inner.commit_write()
+
+    def abort_write(self) -> None:
+        self.inner.abort_write()
+
+    def open_snapshot(self) -> Any:
+        return self.inner.open_snapshot()
+
+    def table_names(self) -> list[str]:
+        return self.inner.table_names()
+
+    def row_count(self, table_name: str) -> int:
+        return self.inner.row_count(table_name)
+
+    def sql_text(self, statement: ast.Statement) -> str:
+        return self.inner.sql_text(statement)
+
+    def __getattr__(self, attr: str) -> Any:
+        # Backend extras (explain_query_plan, connection, db) pass through.
+        # ``inner`` itself and dunder probes must not: copy/pickle look
+        # attributes up on an instance whose __init__ has not run, and
+        # reading ``self.inner`` there would recurse forever.
+        if attr == "inner" or (attr.startswith("__") and attr.endswith("__")):
+            raise AttributeError(attr)
+        return getattr(self.inner, attr)

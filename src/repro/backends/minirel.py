@@ -39,7 +39,6 @@ class MiniRelBackend(Backend):
 
     def __init__(self) -> None:
         self.db = Database()
-        self._index_counter = 0
 
     def create_table(
         self,
@@ -63,30 +62,17 @@ class MiniRelBackend(Backend):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        version = None if snapshot is None else snapshot.version
-        result = self.db.execute(
-            statement, deadline=deadline, budget=budget, version=version
-        )
-        return result.columns, result.rows
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
         tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
     ) -> tuple[list[str], list[tuple]]:
-        """Execute with the planner metering every operator iterator
-        (scans, joins, filters, set ops, CTEs) into the trace."""
-        if tracer is None or not tracer.enabled:
-            return self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
         deadline = time.monotonic() + timeout if timeout is not None else None
         version = None if snapshot is None else snapshot.version
+        if tracer is None or not tracer.enabled:
+            result = self.db.execute(
+                statement, deadline=deadline, budget=budget, version=version
+            )
+            return result.columns, result.rows
+        # Traced: the planner meters every operator iterator (scans, joins,
+        # filters, set ops, CTEs) into the span.
         with tracer.span(f"{self.name}.execute") as span:
             result = self.db.execute(
                 statement,

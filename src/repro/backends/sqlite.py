@@ -94,7 +94,6 @@ class SqliteBackend(Backend):
             self._wal_snapshots = bool(mode) and str(mode[0]).lower() == "wal"
         self._registered: set[str] = set()
         self._register_functions()
-        self._index_counter = 0
 
     def _register_functions(self) -> None:
         _register_functions(self.connection, self._registered)
@@ -140,7 +139,17 @@ class SqliteBackend(Backend):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
+        tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
+        if tracer is not None and tracer.enabled:
+            # Traced: sqlite's own plan (one line per plan node) goes in an
+            # ``explain-query-plan`` child span next to the result rowcount.
+            with tracer.span(f"{self.name}.execute") as span:
+                with tracer.span("explain-query-plan") as plan_span:
+                    plan_span.set("plan", self.explain_query_plan(statement))
+                columns, rows = self.execute(statement, timeout, budget, snapshot)
+                span.set("rows_out", len(rows))
+            return columns, rows
         if snapshot is not None:
             _register_functions(snapshot.connection, snapshot.registered)
             return self._execute_on(
@@ -243,29 +252,6 @@ class SqliteBackend(Backend):
         )
         connection.deserialize(data)
         return SqliteSnapshot(connection, read_txn=False)
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
-        tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        """Execute with sqlite's own plan attached: an ``EXPLAIN QUERY
-        PLAN`` span (one child per plan node) plus the result rowcount."""
-        if tracer is None or not tracer.enabled:
-            return self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
-        with tracer.span(f"{self.name}.execute") as span:
-            with tracer.span("explain-query-plan") as plan_span:
-                plan_span.set("plan", self.explain_query_plan(statement))
-            columns, rows = self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
-            span.set("rows_out", len(rows))
-        return columns, rows
 
     def explain_query_plan(
         self, statement: ast.Statement | str

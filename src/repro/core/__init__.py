@@ -33,16 +33,12 @@ from .querycache import (
 from .resilience import (
     Budget,
     BudgetExceededError,
-    ChaosBackend,
     CircuitBreaker,
     CircuitOpenError,
-    Fault,
-    FaultPlan,
     GuardrailError,
     QueryTimeoutError,
     ResilientBackend,
     RetryPolicy,
-    SimulatedCrash,
     TransientFaultError,
 )
 from .schema import DB2RDFSchema
@@ -54,7 +50,6 @@ __all__ = [
     "BudgetExceededError",
     "CacheInfo",
     "CachedPlan",
-    "ChaosBackend",
     "CircuitBreaker",
     "CircuitOpenError",
     "ColoringMapper",
@@ -64,8 +59,6 @@ __all__ = [
     "DatasetStatistics",
     "QueryCache",
     "ExplicitMapper",
-    "Fault",
-    "FaultPlan",
     "GuardrailError",
     "HashMapper",
     "InterferenceGraph",
@@ -78,7 +71,6 @@ __all__ = [
     "ResilientBackend",
     "RetryPolicy",
     "SideMetadata",
-    "SimulatedCrash",
     "Span",
     "StoreError",
     "StoreReport",

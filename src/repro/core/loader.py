@@ -274,16 +274,17 @@ class Loader:
 
     # ---------------------------------------------------------- incremental
 
-    def insert_triple(self, triple: Triple) -> SideMetadata:
-        """Insert one triple incrementally; returns the metadata deltas.
+    def insert_triple(self, triple: Triple) -> tuple[bool, SideMetadata, SideMetadata]:
+        """Insert one triple incrementally; returns ``(inserted, direct
+        metadata delta, reverse metadata delta)``.
 
-        ``delta.inserted`` is False for an exact duplicate, in which case
-        neither side was touched."""
+        ``inserted`` is False for an exact duplicate, in which case neither
+        side was touched and both deltas are empty."""
         subject_key = _check_key(term_key(triple.subject))
         predicate = triple.predicate.value
         object_key = _check_key(term_key(triple.object))
 
-        delta = SideMetadata()
+        direct_delta = SideMetadata()
         inserted = self._insert_one_side(
             self.schema.dph,
             self.schema.ds,
@@ -294,7 +295,7 @@ class Loader:
             subject_key,
             predicate,
             object_key,
-            delta,
+            direct_delta,
             self.bulk_direct_preds,
             self.online_direct,
         )
@@ -316,11 +317,7 @@ class Loader:
                 self.bulk_reverse_preds,
                 self.online_reverse,
             )
-        # Fold both directions into one delta for the caller; direct fields
-        # keep their meaning via the two metadata objects on the store.
-        delta.reverse_part = reverse_delta  # type: ignore[attr-defined]
-        delta.inserted = inserted  # type: ignore[attr-defined]
-        return delta
+        return inserted, direct_delta, reverse_delta
 
     def _insert_one_side(
         self,

@@ -22,8 +22,8 @@ importantly — the machinery to *prove* them:
   schedule of :class:`Fault` rules — fail the Nth ``insert_many``, raise
   on ``fsync``, kill (or tear) WAL record K, fill the disk, lose the
   unsynced suffix of a record at power loss — and :class:`ChaosBackend`
-  implements the backend interface while consulting the plan before every
-  delegated operation. The crash-matrix test in
+  consults the plan before every hooked backend operation. The
+  crash-matrix test in
   ``tests/update/test_crash_matrix.py`` drives these through every step
   boundary of commit and WAL append, the disk-fault matrix in
   ``tests/update/test_disk_faults.py`` adds torn writes, bit flips,
@@ -46,10 +46,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..backends.base import Backend
+from ..backends.base import Backend, BackendInterposer
 from ..relational import ast
 from ..relational.errors import QueryTimeout
-from ..relational.types import ColumnType
 from .errors import StoreError
 
 # --------------------------------------------------------------------- errors
@@ -257,7 +256,7 @@ class CircuitBreaker:
             self.opened_at = self._clock()
 
 
-class ResilientBackend(Backend):
+class ResilientBackend(BackendInterposer):
     """A backend wrapper: retry transient faults, break circuits.
 
     Only :class:`TransientFaultError` is retried — real errors (syntax,
@@ -265,8 +264,8 @@ class ResilientBackend(Backend):
     underlying failure feeds the breaker; once it opens, calls fail fast
     with :class:`CircuitOpenError` carrying the breaker state instead of
     hanging on a sick backend. ``metrics`` counts retries, faults seen,
-    breaker opens, and short-circuited calls; the profiled path also
-    reports per-query retries as span counters.
+    breaker opens, and short-circuited calls; a traced ``execute`` also
+    reports its retries as span counters.
     """
 
     def __init__(
@@ -275,7 +274,7 @@ class ResilientBackend(Backend):
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.retry = retry or RetryPolicy()
         self.breaker = breaker or CircuitBreaker()
         self.name = f"resilient({inner.name})"
@@ -286,9 +285,7 @@ class ResilientBackend(Backend):
             "short_circuits": 0,
         }
 
-    # ------------------------------------------------------------ machinery
-
-    def _guarded(self, op: str, call: Callable[[], Any]) -> Any:
+    def _around(self, op: str, call: Callable[[], Any]) -> Any:
         breaker = self.breaker
         if not breaker.allow():
             self.metrics["short_circuits"] += 1
@@ -325,32 +322,10 @@ class ResilientBackend(Backend):
                 breaker.record_success()
                 return result
 
-    # ----------------------------------------------------- backend protocol
-
-    def create_table(
-        self,
-        table_name: str,
-        columns: Sequence[tuple[str, ColumnType]],
-        if_not_exists: bool = False,
-    ) -> None:
-        self._guarded(
-            "create_table",
-            lambda: self.inner.create_table(table_name, columns, if_not_exists),
-        )
-
-    def create_index(
-        self, index_name: str, table_name: str, columns: Sequence[str]
-    ) -> None:
-        self._guarded(
-            "create_index",
-            lambda: self.inner.create_index(index_name, table_name, columns),
-        )
-
     def insert_many(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
         # Materialize once so a retried call re-sends identical rows.
-        materialized = rows if isinstance(rows, list) else list(rows)
-        return self._guarded(
-            "insert_many", lambda: self.inner.insert_many(table_name, materialized)
+        return super().insert_many(
+            table_name, rows if isinstance(rows, list) else list(rows)
         )
 
     def execute(
@@ -359,74 +334,16 @@ class ResilientBackend(Backend):
         timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        return self._guarded(
-            "execute",
-            lambda: self.inner.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            ),
-        )
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
         tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
     ) -> tuple[list[str], list[tuple]]:
         if tracer is None or not tracer.enabled:
-            return self.execute(
-                statement, timeout=timeout, budget=budget, snapshot=snapshot
-            )
+            return super().execute(statement, timeout, budget, snapshot)
         before = self.metrics["retries"]
         with tracer.span("resilient", backend=self.inner.name) as span:
-            result = self._guarded(
-                "execute",
-                lambda: self.inner.execute_profiled(
-                    statement,
-                    timeout=timeout,
-                    tracer=tracer,
-                    budget=budget,
-                    snapshot=snapshot,
-                ),
-            )
+            result = super().execute(statement, timeout, budget, snapshot, tracer)
             span.set("retries", self.metrics["retries"] - before)
             span.set("breaker", self.breaker.state)
         return result
-
-    def table_names(self) -> list[str]:
-        return self.inner.table_names()
-
-    def row_count(self, table_name: str) -> int:
-        return self.inner.row_count(table_name)
-
-    def sql_text(self, statement: ast.Statement) -> str:
-        return self.inner.sql_text(statement)
-
-    # Write brackets and snapshots delegate explicitly: the Backend base
-    # class has (no-op) defaults for these, so ``__getattr__`` would never
-    # fire and the inner backend's MVCC machinery would be silently skipped.
-
-    @property
-    def supports_snapshots(self) -> bool:  # type: ignore[override]
-        return self.inner.supports_snapshots
-
-    def begin_write(self) -> None:
-        self.inner.begin_write()
-
-    def commit_write(self) -> None:
-        self.inner.commit_write()
-
-    def abort_write(self) -> None:
-        self.inner.abort_write()
-
-    def open_snapshot(self) -> Any:
-        return self.inner.open_snapshot()
-
-    def __getattr__(self, attr: str) -> Any:
-        # Backend extras (explain_query_plan, connection, db) pass through.
-        return getattr(self.inner, attr)
 
 
 # ------------------------------------------------------------ fault injection
@@ -567,20 +484,22 @@ class FaultPlan:
         return hook
 
 
-class ChaosBackend(Backend):
+class ChaosBackend(BackendInterposer):
     """A backend wrapper that injects scheduled faults before delegating.
 
-    Counts operations (only while armed, so store construction and bulk
-    load stay fault-free by default) and consults the :class:`FaultPlan`
-    before every delegated call. Implements the full backend interface,
-    so any store runs over it unchanged; compose under
-    :class:`ResilientBackend` to exercise the retry path.
+    Counts the four hooked operations (only while armed, so store
+    construction and bulk load stay fault-free by default) and consults
+    the :class:`FaultPlan` before each one. Write brackets, snapshots and
+    metadata reads are not fault-injection points: they never reach the
+    hook, which keeps the op numbering every recorded crash-matrix
+    scenario depends on. Compose under :class:`ResilientBackend` to
+    exercise the retry path.
     """
 
     def __init__(
         self, inner: Backend, plan: FaultPlan | None = None, armed: bool = False
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan if plan is not None else FaultPlan()
         self.armed = armed
         self.op_counts: Counter[str] = Counter()
@@ -591,95 +510,13 @@ class ChaosBackend(Backend):
         """Start counting operations and injecting faults."""
         self.armed = True
 
-    def disarm(self) -> None:
-        self.armed = False
-
-    def _step(self, op: str) -> None:
-        if not self.armed:
-            return
-        self.op_counts[op] += 1
-        self.total_ops += 1
-        fault = self.plan.match(op, self.op_counts[op], self.total_ops)
-        if fault is not None:
-            self.plan.fire(
-                fault, f"{self.inner.name}.{op} #{self.op_counts[op]}"
-            )
-
-    # ----------------------------------------------------- backend protocol
-
-    def create_table(
-        self,
-        table_name: str,
-        columns: Sequence[tuple[str, ColumnType]],
-        if_not_exists: bool = False,
-    ) -> None:
-        self._step("create_table")
-        self.inner.create_table(table_name, columns, if_not_exists)
-
-    def create_index(
-        self, index_name: str, table_name: str, columns: Sequence[str]
-    ) -> None:
-        self._step("create_index")
-        self.inner.create_index(index_name, table_name, columns)
-
-    def insert_many(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
-        self._step("insert_many")
-        return self.inner.insert_many(table_name, rows)
-
-    def execute(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
-        budget: Any = None,
-        snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        self._step("execute")
-        return self.inner.execute(
-            statement, timeout=timeout, budget=budget, snapshot=snapshot
-        )
-
-    def execute_profiled(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
-        tracer: Any = None,
-        budget: Any = None,
-        snapshot: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        self._step("execute")
-        return self.inner.execute_profiled(
-            statement, timeout=timeout, tracer=tracer, budget=budget, snapshot=snapshot
-        )
-
-    def table_names(self) -> list[str]:
-        return self.inner.table_names()
-
-    def row_count(self, table_name: str) -> int:
-        return self.inner.row_count(table_name)
-
-    def sql_text(self, statement: ast.Statement) -> str:
-        return self.inner.sql_text(statement)
-
-    # Uncounted pass-throughs (Backend has defaults, so __getattr__ would
-    # not fire): brackets and snapshots are not fault-injection points —
-    # keeping them out of the op count preserves the numbering every
-    # recorded crash-matrix scenario depends on.
-
-    @property
-    def supports_snapshots(self) -> bool:  # type: ignore[override]
-        return self.inner.supports_snapshots
-
-    def begin_write(self) -> None:
-        self.inner.begin_write()
-
-    def commit_write(self) -> None:
-        self.inner.commit_write()
-
-    def abort_write(self) -> None:
-        self.inner.abort_write()
-
-    def open_snapshot(self) -> Any:
-        return self.inner.open_snapshot()
-
-    def __getattr__(self, attr: str) -> Any:
-        return getattr(self.inner, attr)
+    def _around(self, op: str, call: Callable[[], Any]) -> Any:
+        if self.armed:
+            self.op_counts[op] += 1
+            self.total_ops += 1
+            fault = self.plan.match(op, self.op_counts[op], self.total_ops)
+            if fault is not None:
+                self.plan.fire(
+                    fault, f"{self.inner.name}.{op} #{self.op_counts[op]}"
+                )
+        return call()

@@ -356,7 +356,6 @@ class RdfStore:
     def attach_wal(
         self,
         path: str | os.PathLike,
-        sync: bool = False,
         max_record_bytes: int | None = None,
         durability: str | None = None,
         recovery: str = "strict",
@@ -376,8 +375,7 @@ class RdfStore:
         ``durability`` (``"none"``/``"flush"``/``"fsync"``), ``recovery``
         (``"strict"``/``"tolerate_tail"``), ``segment_max_bytes`` and the
         ``checkpoint_every_*`` auto-checkpoint policy pass straight through
-        to :class:`~repro.update.wal.WriteAheadLog`; ``sync=True`` is the
-        legacy spelling of ``durability="fsync"``. Records the journal
+        to :class:`~repro.update.wal.WriteAheadLog`. Records the journal
         dropped during recovery are logged by the journal itself and
         surfaced as ``wal_records_dropped`` in :meth:`report`.
 
@@ -386,7 +384,7 @@ class RdfStore:
             raise TransactionError("cannot attach a journal mid-transaction")
         if self._wal is not None:
             raise TransactionError("a journal is already attached")
-        kwargs: dict = {"sync": sync, "durability": durability,
+        kwargs: dict = {"durability": durability,
                         "recovery": recovery,
                         "checkpoint_every_bytes": checkpoint_every_bytes,
                         "checkpoint_every_records": checkpoint_every_records,
@@ -514,13 +512,11 @@ class RdfStore:
     # goes through a transaction.
 
     def _apply_add(self, triple: Triple) -> bool:
-        delta = self.loader.insert_triple(triple)
-        if not getattr(delta, "inserted", True):
+        inserted, direct_delta, reverse_delta = self.loader.insert_triple(triple)
+        if not inserted:
             return False
-        self.direct_meta.merge(delta)
-        reverse_part = getattr(delta, "reverse_part", None)
-        if reverse_part is not None:
-            self.reverse_meta.merge(reverse_part)
+        self.direct_meta.merge(direct_delta)
+        self.reverse_meta.merge(reverse_delta)
         self.stats.record_triple(
             term_key(triple.subject),
             triple.predicate.value,

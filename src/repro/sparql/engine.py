@@ -83,9 +83,21 @@ class EngineConfig:
         )
 
 
+_NO_SPAN = nullcontext()  # stateless, so one instance serves every query
+
+
 def _stage(tracer: Tracer | None, name: str, **attrs):
-    """A tracer span when tracing, a no-op context otherwise."""
-    return tracer.span(name, **attrs) if tracer is not None else nullcontext()
+    """A tracer span when tracing, a no-op context (yielding None) otherwise."""
+    return tracer.span(name, **attrs) if tracer is not None else _NO_SPAN
+
+
+def _decode_rows(raw_rows: list[tuple], width: int) -> list[tuple[Term | None, ...]]:
+    """Backend rows (term keys) to terms; ``width`` drops any trailing
+    marker column (ASK)."""
+    return [
+        tuple(None if key is None else term_from_key(key) for key in row[:width])
+        for row in raw_rows
+    ]
 
 
 class SparqlEngine:
@@ -173,11 +185,9 @@ class SparqlEngine:
         fingerprint = self.config.fingerprint()
         if epoch is None:
             epoch = self.stats.epoch
-        if tracer is None:
-            entry = self.cache.lookup(key, fingerprint, epoch)
-        else:
-            with tracer.span("cache") as span:
-                entry, outcome = self.cache.probe(key, fingerprint, epoch)
+        with _stage(tracer, "cache") as span:
+            entry, outcome = self.cache.probe(key, fingerprint, epoch)
+            if span is not None:
                 span.set("outcome", outcome)
         if entry is not None:
             return entry
@@ -286,78 +296,43 @@ class SparqlEngine:
         snapshot: Any = None,
         epoch: int | None = None,
     ) -> SelectResult:
-        if tracer is not None and tracer.enabled:
-            return self._query_traced(sparql, timeout, tracer, budget, snapshot, epoch)
-        if isinstance(sparql, str) and self.cache.enabled:
-            plan = self.compile_cached(sparql, epoch=epoch)
-            compiled, variables = plan.sql, list(plan.variables)
-        else:
-            compiled, select = self.compile(sparql)
-            variables = select.projected_variables()
-        columns, raw_rows = self.backend.execute(
-            compiled, timeout=timeout, budget=budget, snapshot=snapshot
-        )
-        if budget is not None:
-            budget.enforce_output(len(raw_rows))
-        width = len(variables)  # drop any trailing marker column (ASK)
-        rows: list[tuple[Term | None, ...]] = [
-            tuple(
-                None if key is None else term_from_key(key)
-                for key in row[:width]
-            )
-            for row in raw_rows
-        ]
-        return SelectResult(variables, rows)
-
-    def _query_traced(
-        self,
-        sparql: "str | SelectQuery | AskQuery",
-        timeout: float | None,
-        tracer: Tracer,
-        budget: Any = None,
-        snapshot: Any = None,
-        epoch: int | None = None,
-    ) -> SelectResult:
-        """The PROFILE path: same pipeline as :meth:`query`, with spans
-        around compile / execute / decode and per-operator metering in the
-        backend. Kept separate so the untraced path stays word-for-word the
-        zero-overhead hot path."""
-        with tracer.span("compile"):
+        """Compile (through the plan cache), execute, decode. With an
+        enabled tracer the same three steps run under ``compile`` /
+        ``execute`` / ``decode`` spans and the backend meters its own work;
+        without one every ``span`` below is None."""
+        if tracer is not None and not tracer.enabled:
+            tracer = None
+        with _stage(tracer, "compile"):
             if isinstance(sparql, str) and self.cache.enabled:
                 plan = self.compile_cached(sparql, tracer, epoch=epoch)
                 compiled, variables = plan.sql, list(plan.variables)
             else:
                 compiled, select, _, _ = self._compile_stages(sparql, tracer)
                 variables = select.projected_variables()
-        with tracer.span("execute", backend=self.backend.name) as span:
+        with _stage(tracer, "execute", backend=self.backend.name) as span:
             try:
-                columns, raw_rows = self.backend.execute_profiled(
+                columns, raw_rows = self.backend.execute(
                     compiled,
                     timeout=timeout,
-                    tracer=tracer,
                     budget=budget,
                     snapshot=snapshot,
+                    tracer=tracer,
                 )
             finally:
                 # Guardrail trips surface as span counters even when the
                 # trip aborts the query mid-span.
-                if budget is not None:
+                if span is not None and budget is not None:
                     span.set("budget_ticks", budget.ticks)
                     if budget.tripped is not None:
                         span.set("guardrail", budget.tripped)
             if budget is not None:
                 budget.enforce_output(len(raw_rows))
-            span.set("rows_out", len(raw_rows))
-        with tracer.span("decode") as span:
-            width = len(variables)
-            rows: list[tuple[Term | None, ...]] = [
-                tuple(
-                    None if key is None else term_from_key(key)
-                    for key in row[:width]
-                )
-                for row in raw_rows
-            ]
-            span.set("rows_out", len(rows))
+            if span is not None:
+                span.set("rows_out", len(raw_rows))
+        with _stage(tracer, "decode") as span:
+            rows = _decode_rows(raw_rows, len(variables))
+            if span is not None:
+                span.set("rows_out", len(rows))
         return SelectResult(variables, rows)
 
     def ask(self, sparql: str, timeout: float | None = None) -> bool:

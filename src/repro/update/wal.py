@@ -455,8 +455,8 @@ class WriteAheadLog:
 
     ``path`` is the journal *directory* (created on first use); a regular
     file there — e.g. a v0 single-file journal — is refused with
-    :class:`WalError` and left untouched. ``sync=True`` is accepted for
-    backward compatibility and means ``durability="fsync"``.
+    :class:`WalError` and left untouched. ``durability`` defaults to
+    ``"flush"``.
 
     ``checkpoint_every_bytes`` / ``checkpoint_every_records`` arm
     :meth:`should_checkpoint`, which the transaction layer consults after
@@ -466,7 +466,6 @@ class WriteAheadLog:
     def __init__(
         self,
         path: str | os.PathLike,
-        sync: bool = False,
         max_record_bytes: int = DEFAULT_MAX_RECORD_BYTES,
         fault_hook: Callable[[str, dict[str, Any]], None] | None = None,
         durability: str | None = None,
@@ -478,7 +477,7 @@ class WriteAheadLog:
     ) -> None:
         self.path = Path(path)
         if durability is None:
-            durability = "fsync" if sync else "flush"
+            durability = "flush"
         if durability not in DURABILITY_LEVELS:
             raise ValueError(
                 f"unknown durability {durability!r} (use one of "
@@ -492,7 +491,6 @@ class WriteAheadLog:
         if group_fsync_interval < 1:
             raise ValueError("group_fsync_interval must be >= 1")
         self.durability = durability
-        self.sync = durability == "fsync"  # legacy-compatible alias
         self.recovery = recovery
         self.max_record_bytes = max_record_bytes
         self.segment_max_bytes = segment_max_bytes

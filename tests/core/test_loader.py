@@ -4,7 +4,7 @@ import pytest
 
 from repro.backends import MiniRelBackend
 from repro.core.errors import LoadError
-from repro.core.loader import Loader, pack_entity
+from repro.core.loader import Loader, SideMetadata, pack_entity
 from repro.core.mapping import ExplicitMapper, composed_hashes
 from repro.core.schema import DB2RDFSchema
 from repro.rdf.graph import Graph
@@ -114,16 +114,21 @@ class TestIncrementalInsert:
 
     def test_duplicate_triple_is_noop(self):
         backend, schema, loader = self.make()
-        loader.insert_triple(t("s", "p", "o"))
-        loader.insert_triple(t("s", "p", "o"))
+        inserted, _, _ = loader.insert_triple(t("s", "p", "o"))
+        assert inserted
+        inserted, direct_delta, reverse_delta = loader.insert_triple(t("s", "p", "o"))
+        assert not inserted
+        assert direct_delta == reverse_delta == SideMetadata()
         assert backend.row_count(schema.dph) == 1
         assert backend.row_count(schema.ds) == 0
 
     def test_second_object_upgrades_to_lid(self):
         backend, schema, loader = self.make()
         loader.insert_triple(t("s", "p", "o1"))
-        delta = loader.insert_triple(t("s", "p", "o2"))
+        inserted, delta, reverse_delta = loader.insert_triple(t("s", "p", "o2"))
+        assert inserted
         assert delta.multivalued == {"p"}
+        assert reverse_delta.entities == 1  # o2 is a new reverse entity
         assert backend.row_count(schema.ds) == 2
         _, rows = backend.execute(
             f"SELECT elm FROM {schema.ds} ORDER BY elm"
@@ -154,7 +159,7 @@ class TestIncrementalInsert:
         # Single-column mapper: every predicate collides on column 0.
         loader.direct_mapper = ExplicitMapper({"p": 0, "q": 0}, 1)
         loader.insert_triple(t("s", "p", "o1"))
-        delta = loader.insert_triple(t("s", "q", "o2"))
+        _, delta, _ = loader.insert_triple(t("s", "q", "o2"))
         assert backend.row_count(schema.dph) >= 2
         _, rows = backend.execute(
             f"SELECT spill FROM {schema.dph} WHERE entry = 's'"

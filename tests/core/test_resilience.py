@@ -1,12 +1,15 @@
 """Execution guardrails, retry/backoff, circuit breaking, fault plans."""
 
+import copy
+import inspect
 import time
 
 import pytest
 
 from repro import RdfStore
-from repro.backends import MiniRelBackend, SqliteBackend
+from repro.backends import Backend, MiniRelBackend, SqliteBackend
 from repro.core.errors import StoreError
+from repro.core.observe import Tracer
 from repro.core.resilience import (
     Budget,
     BudgetExceededError,
@@ -328,3 +331,161 @@ class TestFaultPlan:
         with pytest.raises(SimulatedCrash):
             chaos.execute("SELECT * FROM t")
         assert chaos.total_ops == 3
+
+
+# ------------------------------------------------- the interposed surface
+
+#: the operations a wrapper may intercept; everything else forwards blind
+HOOKED_OPS = {"create_table", "create_index", "insert_many", "execute"}
+
+#: one call per callable ``Backend`` declares, every parameter given a
+#: distinguishable value (a member missing here fails the test below)
+SURFACE_CALLS = {
+    "create_table": {
+        "table_name": "t",
+        "columns": [("x", ColumnType.INTEGER)],
+        "if_not_exists": True,
+    },
+    "create_index": {"index_name": "i", "table_name": "t", "columns": ["x"]},
+    "insert_many": {"table_name": "t", "rows": [(1,), (2,)]},
+    "execute": {
+        "statement": "SELECT 1",
+        "timeout": 1.5,
+        "budget": Budget(),
+        "snapshot": object(),
+        "tracer": Tracer(),
+    },
+    "begin_write": {},
+    "commit_write": {},
+    "abort_write": {},
+    "open_snapshot": {},
+    "table_names": {},
+    "row_count": {"table_name": "t"},
+    "sql_text": {"statement": object()},
+}
+
+
+def _backend_surface():
+    """Every public member ``Backend`` declares. ``name`` is left out: a
+    wrapper deliberately reports its own (``resilient(chaos(...))``)."""
+    return sorted(
+        member
+        for member in vars(Backend)
+        if not member.startswith("_") and member != "name"
+    )
+
+
+def _recording_backend():
+    """A backend whose every declared callable records its arguments and
+    returns a unique object; plain attributes hold unique sentinels."""
+    namespace = {"name": "recording"}
+    for member in _backend_surface():
+        if not callable(getattr(Backend, member)):
+            namespace[member] = object()
+            continue
+
+        def method(self, *args, _member=member, **kwargs):
+            self.calls.append((_member, args, kwargs))
+            return self.results.setdefault(_member, object())
+
+        namespace[member] = method
+    recording = type("RecordingBackend", (Backend,), namespace)()
+    recording.calls = []
+    recording.results = {}
+    return recording
+
+
+def _spy_on_around(wrapper):
+    seen = []
+    around = wrapper._around
+
+    def spy(op, call):
+        seen.append(op)
+        return around(op, call)
+
+    wrapper._around = spy
+    return seen
+
+
+@pytest.mark.parametrize("member", _backend_surface())
+def test_every_backend_member_reaches_the_inner_backend_once(member):
+    """A method added to ``Backend`` fails here until ``BackendInterposer``
+    routes it: called through both wrappers it must arrive at the inner
+    backend exactly once, arguments intact, through ``_around`` once per
+    wrapper if it is one of the four hooked ops and never otherwise."""
+    inner = _recording_backend()
+    chaos = ChaosBackend(inner, armed=True)
+    resilient = ResilientBackend(chaos)
+    hooks = [_spy_on_around(resilient), _spy_on_around(chaos)]
+
+    if not callable(getattr(Backend, member)):
+        assert getattr(resilient, member) is getattr(inner, member)
+        assert inner.calls == [] and hooks == [[], []]
+        return
+
+    assert member in SURFACE_CALLS, f"add a call for Backend.{member}"
+    sent = SURFACE_CALLS[member]
+    result = getattr(resilient, member)(**sent)
+
+    ((name, args, kwargs),) = inner.calls
+    assert name == member
+    signature = inspect.signature(getattr(Backend, member))
+    if signature.return_annotation != "None":  # annotations are strings
+        assert result is inner.results[member]
+    received = signature.bind(inner, *args, **kwargs)
+    received.arguments.pop("self")
+    assert set(received.arguments) == set(sent)
+    for parameter, value in sent.items():
+        arrived = received.arguments[parameter]
+        assert arrived is value or arrived == value, parameter
+
+    expected = [member] if member in HOOKED_OPS else []
+    assert hooks == [expected, expected]
+    assert dict(chaos.op_counts) == {op: 1 for op in expected}
+
+
+@pytest.mark.parametrize("wrap", [ResilientBackend, ChaosBackend])
+def test_wrappers_can_be_copied(wrap):
+    """``copy`` probes dunders on an instance whose ``__init__`` never ran;
+    ``__getattr__`` must answer AttributeError, not chase ``self.inner``."""
+    wrapper = wrap(MiniRelBackend())
+    clone = copy.copy(wrapper)
+    assert clone.inner is wrapper.inner
+    assert clone.db is wrapper.inner.db  # extras still pass through
+    with pytest.raises(AttributeError):
+        clone.no_such_backend_attribute
+
+
+@pytest.mark.parametrize("backend_factory", BACKENDS)
+def test_profiled_query_through_wrappers_matches_unprofiled(backend_factory):
+    """One transient fault on the query's execute: the traced call retries
+    exactly like the untraced one and the trace shows the whole stack."""
+
+    def run(profile):
+        plan = FaultPlan([Fault(op="execute", at=1)])
+        chaos, resilient = _chaos_pair(backend_factory, plan)
+        store = RdfStore.from_graph(figure1_graph(), backend=resilient)
+        chaos.arm()
+        return chaos, store.query(ALL_SPO, profile=profile)
+
+    chaos_off, plain = run(profile=False)
+    chaos_on, profiled = run(profile=True)
+    assert profiled.canonical() == plain.canonical()
+    assert chaos_on.op_counts["execute"] == chaos_off.op_counts["execute"] == 2
+
+    execute = profiled.profile.find("execute")
+    (resilient_span,) = execute.children
+    assert resilient_span.name == "resilient"
+    assert resilient_span.attrs["retries"] == 1
+    assert resilient_span.attrs["breaker"] == "closed"
+    (backend_span,) = resilient_span.children  # the faulted try never ran
+    inner_name = chaos_on.inner.name
+    assert backend_span.name == f"{inner_name}.execute"
+    assert backend_span.attrs["rows_out"] == len(plain)
+    children = [span.name for span in backend_span.children]
+    if inner_name == "sqlite":
+        assert children == ["explain-query-plan"]
+        assert backend_span.children[0].attrs["plan"]
+    else:
+        assert children and "explain-query-plan" not in children
+        assert all("rows_out" in span.attrs for span in backend_span.children)

@@ -123,7 +123,7 @@ def test_crash_at_every_wal_append_step(
     pre, post = _reference_states(backend_factory, tmp_path)
     store = RdfStore.from_graph(figure1_graph(), backend=backend_factory())
     wal_path = tmp_path / f"{step}.wal"
-    store.attach_wal(wal_path, sync=True)  # sync=True exercises the fsync step
+    store.attach_wal(wal_path, durability="fsync")  # exercises the fsync step
     plan = FaultPlan([Fault(step, 1, kind="crash")])
     store._wal.fault_hook = plan.wal_hook()
     with pytest.raises(SimulatedCrash):

@@ -305,10 +305,8 @@ class TestDurabilityLevels:
         assert steps.count("append.write") == 6
         assert steps.count("append.fsync") == 2  # every 3rd commit
 
-    def test_legacy_sync_flag_maps_to_fsync(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "j.wal", sync=True)
-        assert wal.durability == "fsync"
-        assert wal.sync is True
+    def test_default_durability_is_flush(self, tmp_path):
+        assert WriteAheadLog(tmp_path / "j.wal").durability == "flush"
 
     def test_invalid_options_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="durability"):
@@ -320,7 +318,7 @@ class TestDurabilityLevels:
         steps: list[str] = []
         wal = WriteAheadLog(
             tmp_path / "j.wal",
-            sync=True,
+            durability="fsync",
             fault_hook=lambda step, payload: steps.append(step),
         )
         wal.append([("+", "a", "p", "b")])
