@@ -22,7 +22,7 @@ from repro.baselines import (
 )
 from repro.workloads import dbpedia, lubm, prbench, runner, sp2bench
 
-from conftest import record_metric, report
+from conftest import report
 
 TIMEOUT = 20.0
 RUNS = 2
@@ -38,13 +38,9 @@ def _run_dataset(title, graph, queries):
         "native-mem": oracle,
     }
     summaries = runner.run_benchmark(
-        stores, queries, oracle, timeout=TIMEOUT, runs=RUNS, profile=True
+        stores, queries, oracle, timeout=TIMEOUT, runs=RUNS
     )
     report(f"Figure 15 — {title}", runner.format_summary_table(title, summaries))
-    # Machine-readable record, operator breakdowns included, keyed by the
-    # dataset's short name so repeated runs overwrite rather than append.
-    slug = title.split()[0].lower()
-    record_metric(f"figure15_{slug}", runner.summaries_to_dict(title, summaries))
     return summaries
 
 

@@ -6,14 +6,11 @@ few minutes; raise the scale to stress the stores.
 
 Each bench prints its paper-style table through :func:`report`, which also
 appends to ``benchmarks/out/results.txt`` so EXPERIMENTS.md can quote runs.
-
-Machine-readable metrics go through :func:`record_metric` into
-``benchmarks/out/results.json``; ``check_regressions.py`` gates CI on them.
+Each bench asserts its own bound in-test; nothing reads the output back.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
@@ -43,24 +40,6 @@ def report(title: str, text: str) -> None:
     OUT_DIR.mkdir(exist_ok=True)
     with open(OUT_DIR / "results.txt", "a") as handle:
         handle.write(banner)
-
-
-def record_metric(key: str, value) -> None:
-    """Merge one machine-readable metric into ``benchmarks/out/results.json``.
-
-    CI's regression guard (``check_regressions.py``) reads this file, so
-    anything a benchmark asserts on should also be recorded here.
-    """
-    OUT_DIR.mkdir(exist_ok=True)
-    path = OUT_DIR / "results.json"
-    metrics: dict = {}
-    if path.exists():
-        try:
-            metrics = json.loads(path.read_text())
-        except ValueError:
-            metrics = {}
-    metrics[key] = value
-    path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------- datasets

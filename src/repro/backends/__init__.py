@@ -5,12 +5,3 @@ from .minirel import MiniRelBackend
 from .sqlite import SqliteBackend
 
 __all__ = ["Backend", "MiniRelBackend", "SqliteBackend"]
-
-
-def make_backend(name: str) -> Backend:
-    """Factory used by the benchmark harness (``"minirel"`` or ``"sqlite"``)."""
-    if name == "minirel":
-        return MiniRelBackend()
-    if name == "sqlite":
-        return SqliteBackend()
-    raise ValueError(f"unknown backend {name!r}")

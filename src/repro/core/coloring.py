@@ -90,12 +90,6 @@ class ColoringResult:
     colors_used: int
     covered_triple_fraction: float
 
-    @property
-    def covered_predicate_fraction(self) -> float:
-        if not self.total_predicates:
-            return 1.0
-        return len(self.assignment) / self.total_predicates
-
     def to_mapper(
         self, num_columns: int, fallback: PredicateMapper | None = None
     ) -> ColoringMapper:

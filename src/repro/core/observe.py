@@ -12,8 +12,7 @@ Design constraints:
 
 * **Zero cost when disabled.** The engine's hot path takes ``tracer=None``
   and never touches this module; the minirel planner wraps operator
-  iterators only when a trace span is supplied. ``benchmarks/bench_observe``
-  measures the residual overhead (<5%) and CI guards it.
+  iterators only when a trace span is supplied.
 * **No upward imports.** The relational substrate never imports this
   module: it receives a :class:`Span` (or ``None``) and uses it through
   duck typing (``child`` / ``inc`` / ``set`` / ``meter`` / ``count``).

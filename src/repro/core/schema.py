@@ -83,6 +83,3 @@ class DB2RDFSchema:
         backend.create_index(f"{self.rph}_entry", self.rph, [ENTRY])
         backend.create_index(f"{self.ds}_lid", self.ds, [LID])
         backend.create_index(f"{self.rs}_lid", self.rs, [LID])
-
-    def primary_row_width(self, width: int) -> int:
-        return 2 + 2 * width

@@ -262,9 +262,6 @@ class DatasetStatistics:
 
     # ------------------------------------------------ per-predicate layer
 
-    def predicate_stat(self, predicate: str) -> PredicateStat | None:
-        return self.predicates.get(predicate)
-
     def distinct_subjects_for(self, predicate: str | None) -> float:
         """Distinct subjects of a predicate, clamped to feasible bounds;
         falls back to the global distinct-subject count."""

@@ -223,16 +223,6 @@ class RdfStore:
             self.hooks.fire("snapshot.acquire", epoch=epoch)
         return snap
 
-    # ----------------------------------------------------------- dictionary
-
-    @property
-    def term_dictionary(self):
-        """The backend's term dictionary (see ``repro.core.dictionary``),
-        or None when the backend stores plain strings."""
-        from .dictionary import term_dictionary_of
-
-        return term_dictionary_of(self.backend)
-
     # ---------------------------------------------------------------- load
 
     def load_graph(self, graph: Graph, top_k_stats: int = 1000) -> LoadReport:

@@ -26,8 +26,6 @@ Design points:
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class EncodedString(int):
     """A dictionary-encoded string: an int id that can decode itself."""
@@ -44,22 +42,6 @@ class EncodedString(int):
 
     def __repr__(self) -> str:
         return f"EncodedString({int(self)}={self.lexicon[self]!r})"
-
-
-def decode_value(value: Any) -> Any:
-    """The lexical form of an encoded value; anything else passes through."""
-    if isinstance(value, EncodedString):
-        return value.lexicon[value]
-    return value
-
-
-def decode_row(row: tuple) -> tuple:
-    if any(isinstance(value, EncodedString) for value in row):
-        return tuple(
-            value.lexicon[value] if isinstance(value, EncodedString) else value
-            for value in row
-        )
-    return row
 
 
 class StringDictionary:

@@ -101,9 +101,6 @@ class HashIndex:
         lowered = [c.lower() for c in column_names]
         return [c.lower() for c in self.column_names] == lowered
 
-    def distinct_keys(self) -> int:
-        return len(self._buckets)
-
     def __repr__(self) -> str:
         return f"HashIndex({self.name!r} on {self.table.name}({', '.join(self.column_names)}))"
 

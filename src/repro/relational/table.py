@@ -31,9 +31,6 @@ class TableSchema:
                 f"table {self.name!r} has no column {column_name!r}"
             ) from None
 
-    def has_column(self, column_name: str) -> bool:
-        return column_name.lower() in self._positions
-
     def __len__(self) -> int:
         return len(self.column_names)
 
@@ -261,20 +258,6 @@ class Table:
         for row_id, row in enumerate(self.rows):
             if row is not None and row_id not in died:
                 yield row_id, row
-
-    def visible_at(self, row_id: int, version: int | None) -> tuple | None:
-        """The row iff visible at ``version`` (``None`` version = latest)."""
-        row = self.rows[row_id]
-        if row is None:
-            return None
-        if version is None:
-            return None if row_id in self.died else row
-        if self.born.get(row_id, 0) > version:
-            return None
-        death = self.died.get(row_id)
-        if death is not None and death <= version:
-            return None
-        return row
 
     def mvcc_gc(self, horizon: int) -> None:
         """Physically drop versions dead at or before ``horizon``.

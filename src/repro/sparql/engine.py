@@ -28,6 +28,7 @@ from ..rdf.terms import Term, term_from_key
 from ..relational import ast as sql
 from .algebra import PatternTree, normalize
 from .ast import AskQuery, SelectQuery, TriplePattern, Var
+from .optimizer import cost as cost_model
 from .optimizer.cost import ACO, ACS, ALL_METHODS, SC
 from .optimizer.dataflow import build_data_flow_graph, optimal_flow_tree
 from .optimizer.merge import MergeContext, merge_execution_tree
@@ -42,6 +43,9 @@ from .optimizer.planbuilder import (
 from .parser import parse_sparql
 from .results import SelectResult
 from .translator.pipeline import PipelineTranslator, TripleEmitter
+
+
+OPTIMIZERS = ("hybrid", "cost", "naive")
 
 
 @dataclass(frozen=True)
@@ -60,12 +64,13 @@ class EngineConfig:
     methods: tuple[str, ...] = ALL_METHODS
     use_statistics: bool = True  # False: cost-blind flow (heuristics only)
     cache_size: int = DEFAULT_CACHE_SIZE  # plan-cache entries; <= 0 disables
-    #: "cost" only: below this plan confidence the enumerator's pick is
-    #: discarded for the heuristic hybrid plan (estimates built on empty or
-    #: heavily decayed statistics should not steer join order)
-    min_plan_confidence: float = 0.4
 
     def __post_init__(self) -> None:
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(
+                f"unknown optimizer {self.optimizer!r}; "
+                f"expected one of {', '.join(OPTIMIZERS)}"
+            )
         # Accept any iterable of methods but store a tuple: the fingerprint
         # must be hashable and the menu immutable once plans are cached.
         if not isinstance(self.methods, tuple):
@@ -74,13 +79,7 @@ class EngineConfig:
     def fingerprint(self) -> tuple:
         """The plan-cache key component: every knob that changes compiled
         SQL. Plans compiled under different knobs never cross-contaminate."""
-        return (
-            self.optimizer,
-            self.merge,
-            self.methods,
-            self.use_statistics,
-            self.min_plan_confidence,
-        )
+        return (self.optimizer, self.merge, self.methods, self.use_statistics)
 
 
 _NO_SPAN = nullcontext()  # stateless, so one instance serves every query
@@ -233,7 +232,7 @@ class SparqlEngine:
                         triples, pattern_tree, stats, self.config.methods
                     )
                 chosen = plans[0] if plans else None
-                threshold = self.config.min_plan_confidence
+                threshold = cost_model.MIN_PLAN_CONFIDENCE
                 if chosen is not None and chosen.confidence >= threshold:
                     flow = flow_from_order(chosen)
                     info.update(
@@ -374,7 +373,7 @@ class SparqlEngine:
             lines.append(
                 "-- plan: heuristic fallback"
                 f" (confidence={info['confidence']:.2f}"
-                f" < min_plan_confidence={config.min_plan_confidence})"
+                f" < min_plan_confidence={cost_model.MIN_PLAN_CONFIDENCE})"
             )
         lines.append(self.backend.sql_text(compiled))
         explain_backend = getattr(self.backend, "explain_query_plan", None)

@@ -11,7 +11,7 @@ per-pattern output sizes from exact counts and top-k constants, and join
 selectivities from distinct counts (``1/max(d_l, d_r)``) refined by min-hash
 sketch overlaps. Every estimate carries a confidence in ``[0, 1]``; the
 planner falls back to the paper's heuristic order when the whole plan's
-confidence drops below ``EngineConfig.min_plan_confidence``.
+confidence drops below :data:`MIN_PLAN_CONFIDENCE`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,12 @@ ACS = "acs"
 ACO = "aco"
 SC = "sc"
 ALL_METHODS = (ACS, ACO, SC)
+
+#: ``optimizer="cost"`` only: below this plan confidence the enumerator's
+#: pick is discarded for the heuristic hybrid plan (estimates built on empty
+#: or heavily decayed statistics should not steer join order). Read at call
+#: time, so tests can monkeypatch it.
+MIN_PLAN_CONFIDENCE = 0.4
 
 
 def required_vars(triple: TriplePattern, method: str) -> frozenset[str]:

@@ -108,28 +108,18 @@ class FlowTree:
     parent: dict[FlowNode, FlowNode | None] = field(default_factory=dict)
     _method_by_triple: dict[int, str] = field(default_factory=dict)
     _rank_by_triple: dict[int, int] = field(default_factory=dict)
-    _children: dict[FlowNode, list[FlowNode]] = field(default_factory=dict)
 
     def add(self, node: FlowNode, parent: FlowNode | None) -> None:
         self._rank_by_triple[id(node.triple)] = len(self.order)
         self.order.append(node)
         self.parent[node] = parent
         self._method_by_triple[id(node.triple)] = node.method
-        self._children.setdefault(node, [])
-        if parent is not None:
-            self._children.setdefault(parent, []).append(node)
 
     def method_of(self, triple: TriplePattern) -> str:
         return self._method_by_triple[id(triple)]
 
     def rank_of(self, triple: TriplePattern) -> int:
         return self._rank_by_triple[id(triple)]
-
-    def is_leaf(self, node: FlowNode) -> bool:
-        return not self._children.get(node)
-
-    def total_cost(self, graph: DataFlowGraph) -> float:
-        return sum(graph.costs[node] for node in self.order)
 
 
 def optimal_flow_tree(graph: DataFlowGraph) -> FlowTree:

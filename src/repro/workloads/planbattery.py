@@ -10,9 +10,9 @@ work and a cost-blind planner has real regret to measure.
 
 The queries cover the shapes SP2Bench identifies as order-sensitive: long
 chains (≥ 5 triples), bushy stars, selective-constant anchors, and
-OPTIONAL mixes. Both the test battery (``tests/sparql/battery``) and the
-planner benchmark (``benchmarks/bench_planner.py``) consume this module,
-so the CI regret gate and the correctness harness see the same workload.
+OPTIONAL mixes. The test battery (``tests/sparql/battery``) consumes this
+module, so the regret gate and the correctness harness see the same
+workload.
 
 Everything is seeded: same inputs, same graph, same queries, same plans.
 """

@@ -14,6 +14,7 @@ Two safety valves around the cost-based planner:
 from repro import EngineConfig, RdfStore
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Triple, URI
+from repro.sparql.optimizer import cost as cost_model
 from repro.workloads import planbattery
 
 B = planbattery.PB.base
@@ -44,13 +45,12 @@ class TestLowConfidenceFallback:
         query = "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?o ?q ?x }"
         assert store.engine.compile_cached(query).planner == "cost-fallback"
 
-    def test_threshold_zero_never_falls_back(self, battery_data):
-        """The threshold is the knob: at 0.0 the enumerator's plan is
-        always taken, even from weak evidence."""
+    def test_threshold_zero_never_falls_back(self, battery_data, monkeypatch):
+        """The threshold decides: at 0.0 the enumerator's plan is always
+        taken, even from weak evidence."""
+        monkeypatch.setattr(cost_model, "MIN_PLAN_CONFIDENCE", 0.0)
         store = RdfStore.from_graph(
-            battery_data.graph,
-            use_coloring=False,
-            config=cost_config(min_plan_confidence=0.0),
+            battery_data.graph, use_coloring=False, config=cost_config()
         )
         query = "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?o ?q ?x }"
         assert store.engine.compile_cached(query).planner == "cost"

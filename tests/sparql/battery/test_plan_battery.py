@@ -4,8 +4,7 @@ For every battery query the engine's chosen plan is *executed* against
 every enumerated alternative join order, under a deterministic work meter
 (``Budget.ticks`` counts logical intermediate rows on the minirel
 backend). The regret ratio — chosen work over best-alternative work — is
-asserted per query (bounded blow-up) and as a geomean across the battery
-(the same gate CI applies through ``benchmarks/check_regressions.py``).
+asserted per query (bounded blow-up) and as a geomean across the battery.
 
 Executing every alternative also proves a correctness property the
 differential harness alone cannot: *all* enumerated orders produce the

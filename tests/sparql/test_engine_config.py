@@ -56,3 +56,8 @@ class TestStatsToggle:
         )
         expected = query_graph(fig1_graph, FIGURE6_QUERY)
         assert store.query(FIGURE6_QUERY).matches(expected)
+
+
+def test_unknown_optimizer_is_rejected():
+    with pytest.raises(ValueError, match="hybrid, cost, naive"):
+        EngineConfig(optimizer="costs")

@@ -52,6 +52,19 @@ class TestCommit:
         assert info.invalidations == 1
         assert info.misses == 1  # invalidation is not double-counted
 
+    def test_autocommit_writes_invalidate_once_per_query(self, fig1_graph):
+        """The unbatched contrast: every autocommit write moves the epoch,
+        so each interleaved query recompiles — one invalidation per query,
+        however many writes came before it."""
+        store = RdfStore.from_graph(fig1_graph)
+        store.query(QUERY)  # prime
+        for i in range(30):
+            store.add(t(f"g{i}", "founder", f"Co{i}"))
+            if i % 10 == 9:
+                store.query(QUERY)
+        info = store.cache_info()
+        assert (info.hits, info.invalidations) == (0, 3)
+
     def test_queries_see_uncommitted_writes(self, fig1_graph):
         store = RdfStore.from_graph(fig1_graph)
         with store.transaction() as txn:
