@@ -66,7 +66,7 @@ class MiniRelBackend(Backend):
     ) -> tuple[list[str], list[tuple]]:
         deadline = time.monotonic() + timeout if timeout is not None else None
         version = None if snapshot is None else snapshot.version
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             result = self.db.execute(
                 statement, deadline=deadline, budget=budget, version=version
             )

@@ -141,7 +141,7 @@ class SqliteBackend(Backend):
         snapshot: Any = None,
         tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             # Traced: sqlite's own plan (one line per plan node) goes in an
             # ``explain-query-plan`` child span next to the result rowcount.
             with tracer.span(f"{self.name}.execute") as span:

@@ -246,8 +246,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_wal_info(args: argparse.Namespace) -> int:
     """``repro wal info``: verify a journal's checksums and print its
-    shape. Read-only — never repairs or truncates anything. Exits
-    ``EXIT_WAL`` (5) when the journal holds real corruption."""
+    shape. Read-only — never repairs or truncates anything. Runs the scan
+    a journal open runs and exits ``EXIT_WAL`` (5) exactly when a
+    ``strict`` open would refuse the journal."""
     status = inspect_wal(args.path)
     print(f"path:             {status.path}")
     print(f"format:           {status.format}")

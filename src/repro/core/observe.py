@@ -193,8 +193,6 @@ class Tracer:
     minirel planner) instead receive a parent :class:`Span` directly.
     """
 
-    enabled = True
-
     def __init__(self, name: str = "query", sinks: Iterable[Sink] = ()) -> None:
         self.root = Span(name)
         self.sinks: list[Sink] = list(sinks)

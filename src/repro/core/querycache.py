@@ -182,16 +182,12 @@ class QueryCache:
 
     # ------------------------------------------------------------- lookups
 
-    def lookup(
-        self, text: str, fingerprint: tuple, epoch: int
-    ) -> CachedPlan | None:
-        return self.probe(text, fingerprint, epoch)[0]
-
     def probe(
         self, text: str, fingerprint: tuple, epoch: int
     ) -> tuple[CachedPlan | None, str]:
-        """Like :meth:`lookup`, also naming the outcome — ``"hit"``,
-        ``"miss"``, or ``"invalidated"`` — for tracing spans."""
+        """The cached plan for ``text`` under ``fingerprint`` at ``epoch``
+        (None unless it is a hit), and the outcome — ``"hit"``, ``"miss"``,
+        or ``"invalidated"`` — for tracing spans."""
         key = (text, fingerprint)
         with self._lock:
             entry = self._entries.get(key)

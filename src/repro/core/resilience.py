@@ -336,7 +336,7 @@ class ResilientBackend(BackendInterposer):
         snapshot: Any = None,
         tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return super().execute(statement, timeout, budget, snapshot)
         before = self.metrics["retries"]
         with tracer.span("resilient", backend=self.inner.name) as span:
@@ -359,8 +359,7 @@ class Fault:
     ``"append.write"`` / ``"append.flush"`` / ``"append.fsync"``, the
     rotation step ``"rotate.seal"``, and the
     checkpoint/compaction steps ``"checkpoint.write"`` /
-    ``"checkpoint.sync"`` / ``"checkpoint.rename"`` /
-    ``"manifest.write"`` / ``"manifest.rename"`` / ``"compact.unlink"``.
+    ``"checkpoint.sync"`` / ``"checkpoint.rename"`` / ``"compact.unlink"``.
     ``at`` is the 1-based occurrence of that op at which the fault fires.
 
     ``kind`` selects what happens:
@@ -449,7 +448,7 @@ class FaultPlan:
     def wal_hook(self) -> Callable[[str, dict], None]:
         """A :class:`~repro.update.wal.WriteAheadLog` fault hook driven by
         this plan: counts journal steps (append, rotation, checkpoint,
-        manifest, compaction) and fires matching faults. A ``torn_bytes``
+        compaction) and fires matching faults. A ``torn_bytes``
         crash on ``append.write`` writes that prefix of the record (and
         flushes it) before dying, leaving a torn tail. A ``durable_bytes``
         crash on ``append.fsync`` truncates the file so only that prefix

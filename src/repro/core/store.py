@@ -352,7 +352,6 @@ class RdfStore:
         segment_max_bytes: int | None = None,
         checkpoint_every_bytes: int | None = None,
         checkpoint_every_records: int | None = None,
-        group_fsync_interval: int = 1,
     ) -> int:
         """Attach a write-ahead journal and replay any committed records.
 
@@ -377,8 +376,7 @@ class RdfStore:
         kwargs: dict = {"durability": durability,
                         "recovery": recovery,
                         "checkpoint_every_bytes": checkpoint_every_bytes,
-                        "checkpoint_every_records": checkpoint_every_records,
-                        "group_fsync_interval": group_fsync_interval}
+                        "checkpoint_every_records": checkpoint_every_records}
         if max_record_bytes is not None:
             kwargs["max_record_bytes"] = max_record_bytes
         if segment_max_bytes is not None:

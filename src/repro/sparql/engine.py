@@ -295,12 +295,10 @@ class SparqlEngine:
         snapshot: Any = None,
         epoch: int | None = None,
     ) -> SelectResult:
-        """Compile (through the plan cache), execute, decode. With an
-        enabled tracer the same three steps run under ``compile`` /
-        ``execute`` / ``decode`` spans and the backend meters its own work;
-        without one every ``span`` below is None."""
-        if tracer is not None and not tracer.enabled:
-            tracer = None
+        """Compile (through the plan cache), execute, decode. With a tracer
+        the same three steps run under ``compile`` / ``execute`` /
+        ``decode`` spans and the backend meters its own work; without one
+        every ``span`` below is None."""
         with _stage(tracer, "compile"):
             if isinstance(sparql, str) and self.cache.enabled:
                 plan = self.compile_cached(sparql, tracer, epoch=epoch)

@@ -8,10 +8,10 @@ write history; anything that never reached ``append`` simply never
 happened, which is exactly the rollback semantics the transaction layer
 promises.
 
-Layout — ``path`` is a directory::
+Layout — ``path`` is a directory, and the directory is the only layout
+record (file names carry the sequence and transaction numbers)::
 
     <path>/
-      MANIFEST.json            # layout summary, updated via atomic rename
       wal-00000001.seg         # sealed segment (rotated at segment_max_bytes)
       wal-00000002.seg         # active segment (appends go here)
       checkpoint-00000042.ckpt # consolidated prefix of the journal
@@ -21,10 +21,13 @@ Each segment record is one line::
     W1 <payload-bytes> <crc32c-hex8> {"txn":3,"ops":[["+","s","p","o"],...]}\\n
 
 The CRC32C covers the JSON payload; the declared length lets recovery
-distinguish a torn tail (incomplete final line — the expected footprint of
-a crash mid-append, truncated with a warning) from real damage (checksum
-mismatch, mangled frame, or a gap in the transaction sequence). What
-happens on real damage is the ``recovery`` policy's call:
+distinguish a torn tail (incomplete final line of the last segment — the
+expected footprint of a crash mid-append, truncated with a warning) from
+real damage (checksum mismatch, mangled frame, or a gap in the transaction
+sequence). One read-only scan (:func:`_scan_journal`) finds and classifies
+the first damage; opening a journal applies the ``recovery`` policy to
+what it found, and :func:`inspect_wal` only reports it, so ``inspect_wal``
+says ok exactly when a strict open succeeds:
 
 * ``"strict"`` (default) raises :class:`WalCorruptionError` naming the
   segment, byte offset, and record index;
@@ -35,31 +38,28 @@ happens on real damage is the ``recovery`` policy's call:
 Durability is configurable per journal: ``"none"`` buffers appends in the
 process (fastest; survives only a clean close), ``"flush"`` (default)
 pushes every record to the OS (survives process death), ``"fsync"``
-forces it to stable storage (survives power loss), optionally batched via
-``group_fsync_interval``.
+forces every commit's record to stable storage (survives power loss).
 
 A checkpoint consolidates the journal's committed prefix — the net
 surviving delta of every record up to transaction N — into one
 checksummed file, after which the covered segments are deleted
-(compaction) and recovery replays only post-checkpoint segments. The
-manifest and checkpoint files are published with write-temp / fsync /
-atomic-rename discipline, and recovery treats the *directory scan* as
-authoritative (the manifest is an observability cache), so a crash
-between any two steps of checkpoint publication recovers exactly the
-committed-prefix state.
+(compaction) and recovery replays only post-checkpoint segments.
+Checkpoints are published with write-temp / fsync / atomic-rename
+discipline, so a crash between any two steps of checkpoint publication
+recovers exactly the committed-prefix state.
 
 Transaction ids are assigned contiguously, one record per transaction, so
 recovery can detect holes: a surviving record whose txn id skips past the
-expected successor means an interior segment was lost, which no policy
-tolerates.
+expected successor means an interior segment was lost, and a corrupt
+checkpoint whose transactions nothing else still covers means they were
+lost; no policy tolerates either.
 
 ``fault_hook``, when set, is called as ``hook(step, payload)`` at every
 step boundary of the write path — ``append.start`` / ``append.write`` /
 ``append.flush`` / ``append.fsync``, ``rotate.seal``,
 ``checkpoint.write`` / ``checkpoint.sync`` / ``checkpoint.rename``,
-``manifest.write`` / ``manifest.rename``, ``compact.unlink`` — and may
-raise to simulate a crash or disk fault at exactly that point; this is
-the seam the crash/disk-fault matrices drive.
+``compact.unlink`` — and may raise to simulate a crash or disk fault at
+exactly that point; this is the seam the crash/disk-fault matrices drive.
 
 Replay streams one record at a time: memory is bounded by the largest
 single record, never the journal size, and ``max_record_bytes`` caps even
@@ -91,7 +91,6 @@ DEFAULT_MAX_RECORD_BYTES = 16 * 1024 * 1024
 #: default segment rotation threshold
 DEFAULT_SEGMENT_MAX_BYTES = 4 * 1024 * 1024
 
-MANIFEST_NAME = "MANIFEST.json"
 _RECORD_MAGIC = b"W1"
 _CHECKPOINT_MAGIC = b"C1"
 #: generous headroom over max_record_bytes for the frame header
@@ -145,20 +144,48 @@ class SegmentInfo:
     path: Path
     records: int = 0
     size: int = 0
-    first_txn: int | None = None
-    last_txn: int | None = None
+
+
+@dataclass(frozen=True)
+class _Damage:
+    """The first damage a journal scan hit.
+
+    ``kind`` is ``"torn"`` (incomplete final line of the *last* segment —
+    a crash footprint every policy truncates), ``"corrupt"`` (anything
+    else wrong with a record — the recovery policy decides) or ``"gap"``
+    (committed transactions are missing — no policy tolerates it).
+    """
+
+    kind: str
+    message: str
+    segment: Path
+    offset: int | None = None
+    index: int | None = None
+    reason: str = ""
 
 
 @dataclass
-class RecoveryInfo:
-    """What the last open/replay saw — the checkpoint-bounding proof."""
+class JournalScan:
+    """What one read-only pass over a journal directory found.
+
+    Held as :attr:`WriteAheadLog.last_recovery` — the checkpoint-bounding
+    proof of the last open.
+    """
 
     checkpoint_txn: int = 0
     checkpoint_ops: int = 0
-    segment_records: int = 0  #: records replayed from segments
+    checkpoint_path: Path | None = None
+    #: unreadable checkpoints newer than the one in use, newest first
+    corrupt_checkpoints: list[Path] = field(default_factory=list)
+    #: every segment up to and including the damaged one, sized to its
+    #: last intact record
+    segments: list[SegmentInfo] = field(default_factory=list)
+    #: segments after the damaged one (``tolerate_tail`` parks them)
+    after_damage: list[Path] = field(default_factory=list)
+    segment_records: int = 0  #: post-checkpoint records (what replay yields)
     records_skipped: int = 0  #: segment records covered by the checkpoint
-    records_dropped: int = 0
-    dropped: list[DroppedRecord] = field(default_factory=list)
+    last_txn: int = 0
+    damage: _Damage | None = None
 
 
 @dataclass
@@ -200,6 +227,12 @@ class _ScanProblem(Exception):
         self.index = index
         self.reason = reason
         self.torn = torn
+
+    def describe(self, path: Path) -> str:
+        return (
+            f"corrupt journal record in {path} at offset {self.offset} "
+            f"(record {self.index}): {self.reason}"
+        )
 
 
 @dataclass(frozen=True)
@@ -288,7 +321,6 @@ class _SegmentScan:
         self.max_record_bytes = max_record_bytes
         self.problem: _ScanProblem | None = None
         self.clean_bytes = 0
-        self.count = 0
 
     def records(self) -> Iterator[_Record]:
         with open(self.path, "rb") as handle:
@@ -323,60 +355,10 @@ class _SegmentScan:
                     return
                 offset = handle.tell()
                 self.clean_bytes = offset
-                self.count += 1
                 yield record
 
 
-# ---------------------------------------------------------------- inspection
-
-
-def inspect_wal(
-    path: str | os.PathLike,
-    max_record_bytes: int = DEFAULT_MAX_RECORD_BYTES,
-) -> WalStatus:
-    """Read-only health check: never repairs, never raises.
-
-    Scans the full journal, verifying every frame and checksum, and
-    reports what it found — the engine behind ``repro wal info`` and
-    backup verification.
-    """
-    target = Path(path)
-    if not target.exists():
-        return WalStatus(path=str(target), format="absent")
-    if target.is_file():
-        return WalStatus(
-            path=str(target), format="unsupported", ok=False,
-            error=_not_a_directory(target),
-        )
-    status = WalStatus(path=str(target), format="segmented-v1")
-    ckpt_txn, ckpt_path, ckpt_ops, corrupt_ckpts = _find_checkpoint(
-        target, max_record_bytes
-    )
-    status.checkpoint_txn = ckpt_txn
-    status.checkpoint_ops = ckpt_ops
-    if corrupt_ckpts and ckpt_path is None:
-        status.ok = False
-        status.error = f"corrupt checkpoint file {corrupt_ckpts[0].name}"
-    last_txn = ckpt_txn
-    for seg_path in _segment_paths(target):
-        status.segments += 1
-        scan = _SegmentScan(seg_path, max_record_bytes)
-        for record in scan.records():
-            status.records += 1
-            last_txn = max(last_txn, record.txn)
-        if scan.problem is not None:
-            if scan.problem.torn:
-                status.tail_torn = True
-            else:
-                status.ok = False
-                status.error = (
-                    f"{seg_path.name}: {scan.problem.reason} "
-                    f"(offset {scan.problem.offset}, "
-                    f"record {scan.problem.index})"
-                )
-                break
-    status.last_txn = last_txn
-    return status
+# ---------------------------------------------------------------- the scan
 
 
 def _not_a_directory(path: Path) -> str:
@@ -425,26 +407,113 @@ def _read_checkpoint(
         ) from exc
 
 
-def _find_checkpoint(
-    directory: Path, max_record_bytes: int
-) -> tuple[int, Path | None, int, list[Path]]:
-    """The newest *valid* checkpoint, newest-first fallback.
+def _scan_journal(directory: Path, max_record_bytes: int) -> JournalScan:
+    """One side-effect-free pass over a journal directory.
 
-    Falling back to an older valid checkpoint is always safe: segments it
-    covers are only deleted after a newer checkpoint is fully durable, and
-    replay's txn filter skips covered records — the transaction-sequence
-    continuity check catches the one unrecoverable case (newest corrupt
-    with its predecessors already compacted away).
+    Picks the newest valid checkpoint, then walks every segment in order
+    verifying frames, checksums and txn-id continuity, and stops at the
+    first damage. Falling back past a corrupt checkpoint is safe because
+    segments are only deleted after a newer checkpoint is durable and
+    replay skips covered records; the continuity check (plus the corrupt
+    checkpoint's own txn number, from its name) catches the case where
+    the fallback cannot reach every committed transaction.
     """
-    corrupt: list[Path] = []
+    scan = JournalScan()
     for path in reversed(_checkpoint_paths(directory)):
         try:
             txn, ops, _meta = _read_checkpoint(path, max_record_bytes)
         except WalCorruptionError:
-            corrupt.append(path)
+            scan.corrupt_checkpoints.append(path)
             continue
-        return txn, path, len(ops), corrupt
-    return 0, None, 0, corrupt
+        scan.checkpoint_txn, scan.checkpoint_ops = txn, len(ops)
+        scan.checkpoint_path = path
+        break
+    expected = scan.checkpoint_txn
+    paths = _segment_paths(directory)
+    for position, seg_path in enumerate(paths):
+        segment = SegmentInfo(
+            seq=int(seg_path.name[len("wal-"):-len(".seg")]), path=seg_path
+        )
+        scan.segments.append(segment)
+        reader = _SegmentScan(seg_path, max_record_bytes)
+        for record in reader.records():
+            if record.txn > expected + 1:
+                scan.damage = _Damage(
+                    "gap",
+                    f"journal {directory} is missing transactions "
+                    f"{expected + 1}..{record.txn - 1} (found txn "
+                    f"{record.txn} in {seg_path.name} after txn {expected})",
+                    seg_path, record.offset, record.index,
+                )
+                break
+            expected = max(expected, record.txn)
+            segment.records += 1
+            if record.txn <= scan.checkpoint_txn:
+                scan.records_skipped += 1
+            else:
+                scan.segment_records += 1
+        segment.size = reader.clean_bytes
+        problem = reader.problem
+        if scan.damage is None and problem is not None:
+            torn = problem.torn and position == len(paths) - 1
+            scan.damage = _Damage(
+                "torn" if torn else "corrupt", problem.describe(seg_path),
+                seg_path, problem.offset, problem.index, problem.reason,
+            )
+        if scan.damage is not None:
+            scan.after_damage = paths[position + 1:]
+            break
+    scan.last_txn = expected
+    if scan.corrupt_checkpoints and (
+        scan.damage is None or scan.damage.kind == "torn"
+    ):
+        newest = scan.corrupt_checkpoints[0]
+        horizon = int(newest.name[len("checkpoint-"):-len(".ckpt")])
+        if horizon > expected:
+            scan.damage = _Damage(
+                "gap",
+                f"journal {directory} is missing transactions "
+                f"{expected + 1}..{horizon} (checkpoint {newest.name} is "
+                "corrupt and no older checkpoint or segment covers them)",
+                newest,
+            )
+    return scan
+
+
+def inspect_wal(
+    path: str | os.PathLike,
+    max_record_bytes: int = DEFAULT_MAX_RECORD_BYTES,
+) -> WalStatus:
+    """Read-only health check: never repairs, never raises.
+
+    Runs the scan a journal open runs and reports what it found — the
+    engine behind ``repro wal info`` and backup verification. ``ok`` is
+    True exactly when a ``strict`` open would succeed: no damage, or only
+    a torn tail of the last segment (which the open truncates).
+    """
+    target = Path(path)
+    if not target.exists():
+        return WalStatus(path=str(target), format="absent")
+    if target.is_file():
+        return WalStatus(
+            path=str(target), format="unsupported", ok=False,
+            error=_not_a_directory(target),
+        )
+    scan = _scan_journal(target, max_record_bytes)
+    damage = scan.damage
+    torn = damage is not None and damage.kind == "torn"
+    return WalStatus(
+        path=str(target),
+        format="segmented-v1",
+        segments=len(scan.segments),
+        records=scan.segment_records + scan.records_skipped,
+        last_txn=scan.last_txn,
+        checkpoint_txn=scan.checkpoint_txn,
+        checkpoint_ops=scan.checkpoint_ops,
+        tail_torn=torn,
+        ok=damage is None or torn,
+        error=None if damage is None or torn else damage.message,
+    )
 
 
 # -------------------------------------------------------------------- journal
@@ -473,7 +542,6 @@ class WriteAheadLog:
         segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
         checkpoint_every_bytes: int | None = None,
         checkpoint_every_records: int | None = None,
-        group_fsync_interval: int = 1,
     ) -> None:
         self.path = Path(path)
         if durability is None:
@@ -488,34 +556,18 @@ class WriteAheadLog:
                 f"unknown recovery policy {recovery!r} (use one of "
                 f"{'/'.join(RECOVERY_POLICIES)})"
             )
-        if group_fsync_interval < 1:
-            raise ValueError("group_fsync_interval must be >= 1")
         self.durability = durability
         self.recovery = recovery
         self.max_record_bytes = max_record_bytes
         self.segment_max_bytes = segment_max_bytes
         self.checkpoint_every_bytes = checkpoint_every_bytes
         self.checkpoint_every_records = checkpoint_every_records
-        self.group_fsync_interval = group_fsync_interval
         self.fault_hook = fault_hook
 
-        self._next_txn = 1
-        self._segments: list[SegmentInfo] = []
-        self._checkpoint_txn = 0
-        self._checkpoint_path: Path | None = None
-        self._checkpoint_ops = 0
         self._handle: Any = None
-        self._unsynced_appends = 0
         #: every record discarded by recovery, in discovery order
         self.dropped: list[DroppedRecord] = []
-        self.last_recovery = RecoveryInfo()
-        # Recovery is not a fault-injection surface (the matrices damage
-        # files directly); the hook sees only steady-state write steps.
-        hook, self.fault_hook = self.fault_hook, None
-        try:
-            self._open_journal()
-        finally:
-            self.fault_hook = hook
+        self._open_journal()
 
     # ----------------------------------------------------------- properties
 
@@ -551,180 +603,52 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ open
 
     def _open_journal(self) -> None:
+        """Scan the directory and apply the recovery policy to the first
+        damage: raise, truncate the damaged segment, or park the segments
+        after it as ``.seg.dropped``. Fires no fault-hook step."""
         if self.path.is_file():
             raise WalError(_not_a_directory(self.path))
         self.path.mkdir(parents=True, exist_ok=True)
         for stale in self.path.glob("*.tmp"):
             stale.unlink()  # unpublished writes from a crashed process
-        ckpt_txn, ckpt_path, ckpt_ops, corrupt_ckpts = _find_checkpoint(
-            self.path, self.max_record_bytes
-        )
-        if corrupt_ckpts and ckpt_path is None and _checkpoint_paths(self.path):
+        scan = _scan_journal(self.path, self.max_record_bytes)
+        damage = scan.damage
+        if damage is not None and (
+            damage.kind == "gap"
+            or (damage.kind == "corrupt" and self.recovery == "strict")
+        ):
             raise WalCorruptionError(
-                f"no readable checkpoint in {self.path} "
-                f"(all {len(corrupt_ckpts)} candidate(s) corrupt)",
-                segment=str(corrupt_ckpts[0]),
+                damage.message, segment=str(damage.segment),
+                offset=damage.offset, index=damage.index,
             )
-        for path in corrupt_ckpts:
+        for path in scan.corrupt_checkpoints:
             logger.warning(
-                "journal %s: ignoring corrupt checkpoint %s "
-                "(recovered from an older one)", self.path, path.name,
+                "journal %s: ignoring corrupt checkpoint %s (its "
+                "transactions are still covered)", self.path, path.name,
             )
-        self._checkpoint_txn = ckpt_txn
-        self._checkpoint_path = ckpt_path
-        self._checkpoint_ops = ckpt_ops
-        self._scan_segments(repair=True)
-        if not (self.path / MANIFEST_NAME).exists():
-            self._write_manifest()
-
-    def _scan_segments(self, repair: bool) -> None:
-        """Verify every segment, repairing torn tails and applying the
-        recovery policy to real damage; rebuilds the in-memory layout."""
-        self._segments = []
-        info = RecoveryInfo(
-            checkpoint_txn=self._checkpoint_txn,
-            checkpoint_ops=self._checkpoint_ops,
-        )
-        expected = self._checkpoint_txn
-        paths = _segment_paths(self.path)
-        stop = False
-        for position, seg_path in enumerate(paths):
-            is_last = position == len(paths) - 1
-            seq = int(seg_path.name[len("wal-"):-len(".seg")])
-            segment = SegmentInfo(seq=seq, path=seg_path)
-            scan = _SegmentScan(seg_path, self.max_record_bytes)
-            for record in scan.records():
-                if record.txn > expected + 1:
-                    raise WalCorruptionError(
-                        f"journal {self.path} is missing transactions "
-                        f"{expected + 1}..{record.txn - 1} (found txn "
-                        f"{record.txn} in {seg_path.name} after "
-                        f"txn {expected})",
-                        segment=str(seg_path),
-                        offset=record.offset, index=record.index,
-                    )
-                expected = max(expected, record.txn)
-                if record.txn <= self._checkpoint_txn:
-                    info.records_skipped += 1
-                else:
-                    info.segment_records += 1
-                segment.records += 1
-                if segment.first_txn is None:
-                    segment.first_txn = record.txn
-                segment.last_txn = record.txn
-            segment.size = scan.clean_bytes
-            problem = scan.problem
-            if problem is not None:
-                tolerable = problem.torn and is_last
-                if not tolerable and self.recovery == "strict":
-                    raise WalCorruptionError(
-                        f"corrupt journal record in {seg_path} at offset "
-                        f"{problem.offset} (record {problem.index}): "
-                        f"{problem.reason}",
-                        segment=str(seg_path),
-                        offset=problem.offset, index=problem.index,
-                    )
-                self._drop(info, seg_path, problem, repair)
-                if not tolerable:
-                    # tolerate_tail: everything after the damage goes too.
-                    for later in paths[position + 1:]:
-                        self._drop_segment(info, later, repair)
-                    stop = True
-            self._segments.append(segment)
-            if stop:
-                break
-        self._next_txn = expected + 1
-        self.last_recovery = info
-
-    def _drop(
-        self, info: RecoveryInfo, seg_path: Path,
-        problem: _ScanProblem, repair: bool,
-    ) -> None:
-        """Truncate a segment at its first bad record, recording the drop."""
-        dropped = DroppedRecord(
-            segment=str(seg_path), offset=problem.offset,
-            index=problem.index, reason=problem.reason,
-        )
-        logger.warning(
-            "journal %s: dropping record %d at offset %d (%s)%s",
-            seg_path, problem.index, problem.offset, problem.reason,
-            "" if repair else " [read-only pass]",
-        )
-        self.dropped.append(dropped)
-        info.dropped.append(dropped)
-        info.records_dropped += 1
-        if repair:
-            with open(seg_path, "rb+") as handle:
-                handle.truncate(problem.offset)
-
-    def _drop_segment(
-        self, info: RecoveryInfo, seg_path: Path, repair: bool
-    ) -> None:
-        """Drop a whole segment that follows damage (tolerate_tail only)."""
-        scan = _SegmentScan(seg_path, self.max_record_bytes)
-        count = sum(1 for _ in scan.records())
-        dropped = DroppedRecord(
-            segment=str(seg_path), offset=0, index=1,
-            reason="follows a corrupt segment",
-        )
-        logger.warning(
-            "journal %s: dropping whole segment (%d readable record(s)) "
-            "because an earlier segment is corrupt", seg_path, count,
-        )
-        self.dropped.append(dropped)
-        info.dropped.append(dropped)
-        info.records_dropped += max(count, 1)
-        if repair:
-            seg_path.rename(seg_path.with_suffix(".seg.dropped"))
-
-    # -------------------------------------------------------------- manifest
-
-    def _write_manifest(self) -> None:
-        """Publish the layout summary via write-temp / fsync / rename.
-
-        The manifest is an observability cache — recovery trusts the
-        directory scan — so a crash between these steps costs nothing.
-        """
-        manifest = {
-            "version": 1,
-            "segments": [
-                {
-                    "name": seg.path.name,
-                    "records": seg.records,
-                    "first_txn": seg.first_txn,
-                    "last_txn": seg.last_txn,
-                }
-                for seg in self._segments
-            ],
-            "checkpoint": (
-                {
-                    "file": self._checkpoint_path.name,
-                    "txn": self._checkpoint_txn,
-                    "ops": self._checkpoint_ops,
-                }
-                if self._checkpoint_path is not None
-                else None
-            ),
-            "last_txn": self.last_txn,
-        }
-        target = self.path / MANIFEST_NAME
-        tmp = self.path / (MANIFEST_NAME + ".tmp")
-        self._fire("manifest.write", path=str(tmp))
-        with open(tmp, "wb") as handle:
-            handle.write(json.dumps(manifest, indent=1).encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._fire("manifest.rename", path=str(target))
-        os.replace(tmp, target)
-        _fsync_dir(self.path)
-
-    def manifest(self) -> dict[str, Any] | None:
-        """The on-disk manifest document (None when unreadable)."""
-        try:
-            raw = (self.path / MANIFEST_NAME).read_bytes()
-            return json.loads(raw)
-        except (OSError, ValueError):
-            return None
+        if damage is not None:
+            # A torn tail, or corruption under tolerate_tail: truncate at
+            # the first bad record and park every later segment.
+            self.dropped.append(DroppedRecord(
+                str(damage.segment), damage.offset, damage.index, damage.reason
+            ))
+            with open(damage.segment, "rb+") as handle:
+                handle.truncate(damage.offset)
+            for later in scan.after_damage:
+                self.dropped.append(
+                    DroppedRecord(str(later), 0, 1, "follows a corrupt segment")
+                )
+                later.rename(later.with_suffix(".seg.dropped"))
+        for dropped in self.dropped:
+            logger.warning(
+                "journal %s: dropping record %d at offset %d (%s)",
+                dropped.segment, dropped.index, dropped.offset, dropped.reason,
+            )
+        self._segments = scan.segments
+        self._checkpoint_txn = scan.checkpoint_txn
+        self._checkpoint_path = scan.checkpoint_path
+        self._next_txn = scan.last_txn + 1
+        self.last_recovery = scan
 
     # ------------------------------------------------------------- appending
 
@@ -792,14 +716,11 @@ class WriteAheadLog:
                 self._fire("append.flush", txn=txn_id)
                 handle.flush()
             if self.durability == "fsync":
-                self._unsynced_appends += 1
-                if self._unsynced_appends >= self.group_fsync_interval:
-                    self._fire(
-                        "append.fsync", txn=txn_id, data=data, handle=handle,
-                        offset=offset,
-                    )
-                    os.fsync(handle.fileno())
-                    self._unsynced_appends = 0
+                self._fire(
+                    "append.fsync", txn=txn_id, data=data, handle=handle,
+                    offset=offset,
+                )
+                os.fsync(handle.fileno())
         except OSError as exc:
             self._unwind_partial_append(handle, offset)
             raise WalWriteError(
@@ -807,9 +728,6 @@ class WriteAheadLog:
             ) from exc
         segment.size = offset + len(data)
         segment.records += 1
-        if segment.first_txn is None:
-            segment.first_txn = txn_id
-        segment.last_txn = txn_id
         self._next_txn = txn_id + 1
         if segment.size >= self.segment_max_bytes:
             self._rotate()
@@ -837,7 +755,6 @@ class WriteAheadLog:
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
             self._close_handle()
-            self._write_manifest()
         except OSError as exc:
             # Rotation is advisory — the record is already durable, so a
             # fault here must not fail the commit that triggered it.
@@ -869,10 +786,7 @@ class WriteAheadLog:
             if problem is not None and not problem.torn:
                 # Damage that appeared after the open-time repair pass.
                 raise WalCorruptionError(
-                    f"corrupt journal record in {segment.path} at offset "
-                    f"{problem.offset} (record {problem.index}): "
-                    f"{problem.reason}",
-                    segment=str(segment.path),
+                    problem.describe(segment.path), segment=str(segment.path),
                     offset=problem.offset, index=problem.index,
                 )
 
@@ -888,7 +802,6 @@ class WriteAheadLog:
         if self._handle is not None:
             self._handle.flush()
             os.fsync(self._handle.fileno())
-            self._unsynced_appends = 0
 
     def close(self) -> None:
         """Flush, fsync, and release the active segment handle."""
@@ -915,13 +828,12 @@ class WriteAheadLog:
 
         The net surviving delta of the old checkpoint plus every segment
         record is written to a new checksummed checkpoint file
-        (write-temp, fsync, atomic rename), the manifest is republished,
-        and only then are the covered segments and the superseded
-        checkpoint deleted. Every step is crash-safe: recovery is scan-
-        based and filters replay by the checkpoint's transaction id, so a
-        kill between any two steps still recovers the exact committed
-        state. The caller must hold the store's writer bracket (no
-        concurrent commits).
+        (write-temp, fsync, atomic rename), and only then are the covered
+        segments and the superseded checkpoint deleted. Every step is
+        crash-safe: recovery is scan-based and filters replay by the
+        checkpoint's transaction id, so a kill between any two steps still
+        recovers the exact committed state. The caller must hold the
+        store's writer bracket (no concurrent commits).
         """
         last = self.last_txn
         if last <= 0:
@@ -954,8 +866,6 @@ class WriteAheadLog:
         self._segments = []
         self._checkpoint_txn = last
         self._checkpoint_path = target
-        self._checkpoint_ops = len(ops_out)
-        self._write_manifest()
 
         removed = 0
         for segment in old_segments:
@@ -981,9 +891,9 @@ class WriteAheadLog:
         """Copy the journal into ``dest`` and verify the copy's checksums.
 
         The caller must hold the store's writer lock so no commit mutates
-        the layout mid-copy; concurrent *readers* are unaffected. The
-        manifest is copied last, after the data files it summarizes.
-        Returns the verified :class:`WalStatus` of the copy; raises
+        the layout mid-copy; concurrent *readers* are unaffected. The copy
+        is verified by the same scan a journal open runs (via
+        :func:`inspect_wal`). Returns its :class:`WalStatus`; raises
         :class:`WalCorruptionError` if the copy fails verification.
         """
         target = Path(dest)
@@ -997,9 +907,6 @@ class WriteAheadLog:
             )
         for segment in self._segments:
             shutil.copyfile(segment.path, target / segment.path.name)
-        manifest = self.path / MANIFEST_NAME
-        if manifest.exists():
-            shutil.copyfile(manifest, target / MANIFEST_NAME)
         _fsync_dir(target)
         status = inspect_wal(target, self.max_record_bytes)
         if not status.ok:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
 from ..core.errors import UnsupportedQueryError
-from ..core.observe import summarize_operators
 from ..core.querycache import CacheInfo
 from ..relational.errors import QueryTimeout
 from ..sparql.parser import SparqlSyntaxError
@@ -47,27 +46,6 @@ class QueryOutcome:
     rows: int | None = None
     expected_rows: int | None = None
     detail: str = ""
-    #: per-operator breakdown ({operator, depth, seconds, rows_in, rows_out})
-    #: from a PROFILE run, when the harness ran with ``profile=True`` and
-    #: the store supports profiling
-    operators: list[dict] | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-ready form for machine-readable benchmark output."""
-        payload: dict = {
-            "query": self.query,
-            "status": self.status,
-            "seconds": self.seconds,
-        }
-        if self.rows is not None:
-            payload["rows"] = self.rows
-        if self.expected_rows is not None:
-            payload["expected_rows"] = self.expected_rows
-        if self.detail:
-            payload["detail"] = self.detail
-        if self.operators is not None:
-            payload["operators"] = self.operators
-        return payload
 
 
 @dataclass
@@ -89,29 +67,6 @@ class SystemSummary:
     @property
     def supported(self) -> int:
         return self.complete + self.timeout + self.error
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (cache counters flattened, outcomes by name)."""
-        payload: dict = {
-            "system": self.system,
-            "complete": self.complete,
-            "timeout": self.timeout,
-            "error": self.error,
-            "unsupported": self.unsupported,
-            "mean_seconds": self.mean_seconds,
-            "geometric_mean_seconds": self.geometric_mean_seconds,
-            "queries": {
-                name: outcome.to_dict() for name, outcome in self.outcomes.items()
-            },
-        }
-        if self.cache is not None:
-            payload["cache"] = {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "invalidations": self.cache.invalidations,
-                "hit_rate": self.cache.hit_rate,
-            }
-        return payload
 
 
 def expected_counts(
@@ -142,14 +97,8 @@ def run_system(
     runs: int = 3,
     warmup: bool = True,
     seed: int = 7,
-    profile: bool = False,
 ) -> SystemSummary:
-    """Measure one system over a randomly mixed workload, paper-style.
-
-    ``profile=True`` adds one *unmeasured* PROFILE run per completed query
-    after the timing runs and attaches its per-operator breakdown to the
-    outcome (stores that don't support profiling are skipped silently).
-    """
+    """Measure one system over a randomly mixed workload, paper-style."""
     rng = random.Random(seed)
     names = list(queries)
     summary = SystemSummary(system_name)
@@ -219,19 +168,6 @@ def run_system(
         positive = [t for t in complete_times if t > 0]
         if positive:
             summary.geometric_mean_seconds = statistics.geometric_mean(positive)
-    if profile:
-        for name, outcome in summary.outcomes.items():
-            if outcome.status != COMPLETE:
-                continue
-            try:
-                result = store.query(queries[name], timeout=timeout, profile=True)
-            except TypeError:  # store has no profile support
-                break
-            except Exception:  # profiling must never fail the harness
-                continue
-            root = getattr(result, "profile", None)
-            if root is not None:
-                outcome.operators = summarize_operators(root)
     cache_info = getattr(store, "cache_info", None)
     if callable(cache_info):
         summary.cache = cache_info()
@@ -245,26 +181,12 @@ def run_benchmark(
     timeout: float = 10.0,
     runs: int = 3,
     oracle_timeout: float | None = None,
-    profile: bool = False,
 ) -> dict[str, SystemSummary]:
     """Figure 15 for one dataset: every system over the full query mix."""
     expected = expected_counts(oracle, queries, timeout=oracle_timeout)
     return {
-        name: run_system(
-            name, store, queries, expected,
-            timeout=timeout, runs=runs, profile=profile,
-        )
+        name: run_system(name, store, queries, expected, timeout=timeout, runs=runs)
         for name, store in stores.items()
-    }
-
-
-def summaries_to_dict(
-    dataset: str, summaries: Mapping[str, SystemSummary]
-) -> dict:
-    """One dataset's results as a JSON-ready payload (benchmark output)."""
-    return {
-        "dataset": dataset,
-        "systems": {name: summary.to_dict() for name, summary in summaries.items()},
     }
 
 
@@ -291,23 +213,6 @@ def format_summary_table(
             f"{name:<20} {summary.complete:>9} {summary.timeout:>8} "
             f"{summary.error:>6} {summary.unsupported:>8} "
             f"{summary.mean_seconds:>9.3f}" + cache_cell
-        )
-    return "\n".join(lines)
-
-
-def format_operator_table(outcome: QueryOutcome) -> str:
-    """Render one profiled query's per-operator breakdown as text."""
-    lines = [
-        f"{outcome.query}",
-        f"  {'operator':<36}{'rows_in':>9}{'rows_out':>9}{'ms':>10}",
-    ]
-    for op in outcome.operators or []:
-        name = "  " * op.get("depth", 0) + op["operator"]
-        rows_in = op.get("rows_in", "")
-        rows_out = op.get("rows_out", "")
-        lines.append(
-            f"  {name:<36}{rows_in!s:>9}{rows_out!s:>9}"
-            f"{op['seconds'] * 1000:>10.3f}"
         )
     return "\n".join(lines)
 

@@ -57,10 +57,10 @@ def plan(epoch: int = 0) -> CachedPlan:
 class TestQueryCacheUnit:
     def test_miss_then_hit(self):
         cache = QueryCache(maxsize=4)
-        assert cache.lookup("q", ("fp",), 0) is None
+        assert cache.probe("q", ("fp",), 0)[0] is None
         stored = plan()
         cache.store("q", ("fp",), stored)
-        assert cache.lookup("q", ("fp",), 0) is stored
+        assert cache.probe("q", ("fp",), 0)[0] is stored
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_fingerprint_separation(self):
@@ -68,26 +68,26 @@ class TestQueryCacheUnit:
         hybrid, naive = plan(), plan()
         cache.store("q", ("hybrid",), hybrid)
         cache.store("q", ("naive",), naive)
-        assert cache.lookup("q", ("hybrid",), 0) is hybrid
-        assert cache.lookup("q", ("naive",), 0) is naive
+        assert cache.probe("q", ("hybrid",), 0)[0] is hybrid
+        assert cache.probe("q", ("naive",), 0)[0] is naive
         assert len(cache) == 2
 
     def test_lru_eviction_bound(self):
         cache = QueryCache(maxsize=2)
         cache.store("a", (), plan())
         cache.store("b", (), plan())
-        assert cache.lookup("a", (), 0) is not None  # refresh "a"
+        assert cache.probe("a", (), 0)[0] is not None  # refresh "a"
         cache.store("c", (), plan())  # evicts "b", the LRU entry
         assert cache.evictions == 1
         assert len(cache) == 2
-        assert cache.lookup("b", (), 0) is None
-        assert cache.lookup("a", (), 0) is not None
-        assert cache.lookup("c", (), 0) is not None
+        assert cache.probe("b", (), 0)[0] is None
+        assert cache.probe("a", (), 0)[0] is not None
+        assert cache.probe("c", (), 0)[0] is not None
 
     def test_epoch_invalidation(self):
         cache = QueryCache(maxsize=4)
         cache.store("q", (), plan(epoch=3))
-        assert cache.lookup("q", (), 4) is None
+        assert cache.probe("q", (), 4)[0] is None
         assert cache.invalidations == 1
         assert cache.misses == 0  # invalidation is not double-counted
         assert len(cache) == 0
@@ -101,8 +101,8 @@ class TestQueryCacheUnit:
     def test_info_snapshot(self):
         cache = QueryCache(maxsize=4)
         cache.store("q", (), plan())
-        cache.lookup("q", (), 0)
-        cache.lookup("other", (), 0)
+        cache.probe("q", (), 0)
+        cache.probe("other", (), 0)
         info = cache.info()
         assert (info.hits, info.misses, info.size, info.maxsize) == (1, 1, 1, 4)
         assert info.lookups == 2

@@ -159,12 +159,12 @@ class TestCheckpoint:
                                     wal_path=tmp_path / "j.wal")
         store.add(Triple(URI("a"), URI("p"), URI("b")))
         store.checkpoint()
-        from repro.update.wal import _find_checkpoint, _read_checkpoint
+        from repro.update.wal import _read_checkpoint, _scan_journal
 
-        _txn, path, _ops, _corrupt = _find_checkpoint(
-            pathlib.Path(tmp_path / "j.wal"), store._wal.max_record_bytes
-        )
-        _txn2, _ops2, meta = _read_checkpoint(path, store._wal.max_record_bytes)
+        path = _scan_journal(
+            tmp_path / "j.wal", store._wal.max_record_bytes
+        ).checkpoint_path
+        _txn, _ops, meta = _read_checkpoint(path, store._wal.max_record_bytes)
         assert meta["epoch"] == store.stats.epoch
         assert meta["triples"] == store.stats.total_triples
 

@@ -254,8 +254,6 @@ CHECKPOINT_STEPS = [
     "checkpoint.write",   # tmp file being written: old state intact
     "checkpoint.sync",    # tmp written, not yet durable: still unpublished
     "checkpoint.rename",  # about to publish: tmp ignored on recovery
-    "manifest.write",     # checkpoint live, manifest stale: scan wins
-    "manifest.rename",    # manifest tmp written: rename never happened
     "compact.unlink",     # checkpoint live, covered segment not yet gone
 ]
 
@@ -286,13 +284,13 @@ def test_crash_between_checkpoint_rename_steps(backend_factory, tmp_path, step):
 
 @pytest.mark.parametrize("backend_factory", BACKENDS)
 def test_crash_during_rotation_manifest_update(backend_factory, tmp_path):
-    """Kill during the manifest rewrite a segment rotation triggers: the
-    record that caused the rotation is already durable, so recovery holds
-    every committed transaction."""
+    """Kill as a segment rotation seals the full segment: the record that
+    caused the rotation is already durable, so recovery holds every
+    committed transaction."""
     wal_path = tmp_path / "rot.wal"
     store = _build(backend_factory, wal_path, segment_max_bytes=128)
     store.add(Triple(URI("first"), URI("p"), URI("v")))
-    plan = FaultPlan([Fault("manifest.rename", 1, kind="crash")])
+    plan = FaultPlan([Fault("rotate.seal", 1, kind="crash")])
     store._wal.fault_hook = plan.wal_hook()
     with pytest.raises(SimulatedCrash):
         for i in range(10):
@@ -303,7 +301,7 @@ def test_crash_during_rotation_manifest_update(backend_factory, tmp_path):
     recovered = _snapshot(recovered_store)
     assert ("first", "p", "v") in recovered
     # Every record the journal holds replays; none were lost to the
-    # mid-rotation manifest crash (the scan, not the manifest, decides).
+    # mid-rotation crash.
     assert recovered_store._wal.last_txn >= 2
     assert fired_after == 0
     _cell("rotation_crash", backend_factory, "committed_state")

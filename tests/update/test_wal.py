@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import pathlib
 
 import pytest
 
@@ -76,7 +77,6 @@ class TestJournal:
         assert int(length) == len(payload)
         assert int(checksum, 16) == crc32c(payload)
         assert json.loads(payload) == {"txn": 1, "ops": [["+", "a", "p", "b"]]}
-        assert (tmp_path / "j.wal" / "MANIFEST.json").exists()
 
     def test_txn_ids_continue_after_reopen(self, tmp_path):
         path = tmp_path / "j.wal"
@@ -292,19 +292,6 @@ class TestDurabilityLevels:
         wal.close()
         assert [txn for txn, _ in WriteAheadLog(path).replay()] == [1]
 
-    def test_group_fsync_batches_the_fsync_step(self, tmp_path):
-        steps: list[str] = []
-        wal = WriteAheadLog(
-            tmp_path / "j.wal",
-            durability="fsync",
-            group_fsync_interval=3,
-        )
-        wal.fault_hook = lambda step, payload: steps.append(step)
-        for i in range(6):
-            wal.append([("+", f"s{i}", "p", "o")])
-        assert steps.count("append.write") == 6
-        assert steps.count("append.fsync") == 2  # every 3rd commit
-
     def test_default_durability_is_flush(self, tmp_path):
         assert WriteAheadLog(tmp_path / "j.wal").durability == "flush"
 
@@ -322,7 +309,9 @@ class TestDurabilityLevels:
             fault_hook=lambda step, payload: steps.append(step),
         )
         wal.append([("+", "a", "p", "b")])
-        assert steps == [
+        wal.append([("+", "c", "p", "d")])
+        # "fsync" durability syncs every commit, never a batch of them.
+        assert steps == 2 * [
             "append.start",
             "append.write",
             "append.flush",
@@ -357,6 +346,123 @@ class TestInspect:
         assert not status.ok
         assert segment.name in status.error
         assert segment.read_bytes() == damaged  # read-only, no repair
+
+    @pytest.mark.parametrize(
+        "damage, expected_ok",
+        [
+            ("torn_last_tail", True),
+            ("torn_interior_segment", False),
+            ("deleted_interior_segment", False),
+            ("flipped_crc_byte", False),
+            ("newest_checkpoint_corrupt_older_valid", True),
+            ("newest_checkpoint_corrupt_segments_compacted", False),
+            ("all_checkpoints_corrupt", False),
+        ],
+    )
+    def test_inspect_ok_iff_strict_open_succeeds(
+        self, tmp_path, damage, expected_ok
+    ):
+        """``repro wal info`` and backup verification run the same scan a
+        journal open runs, so they never pass a journal the store refuses
+        (nor refuse one it opens)."""
+        path = tmp_path / "j.wal"
+        _DAMAGE[damage](path)
+        before = {p.name: p.read_bytes() for p in path.iterdir()}
+        ok = inspect_wal(path).ok
+        exit_code = main(["wal", "info", str(path)])
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+        try:
+            WriteAheadLog(path, recovery="strict")
+            opens = True
+        except WalCorruptionError:
+            opens = False
+        assert ok == opens == expected_ok
+        assert exit_code == (0 if ok else EXIT_WAL)
+
+
+def _flip(file, at):
+    data = bytearray(file.read_bytes())
+    data[at] ^= 0x01
+    file.write_bytes(bytes(data))
+
+
+def _rotated(path):
+    wal = WriteAheadLog(path, segment_max_bytes=64)
+    for i in range(6):
+        wal.append([("+", f"s{i}", "p", f"o{i}")])
+    wal.close()
+    segments = _segment_paths(path)
+    assert len(segments) >= 3
+    return segments
+
+
+def _two_checkpoints(path, compacted):
+    """Checkpoints at txn 2 and 4, then damage the newer one; with
+    ``compacted`` the segment holding txns 3..4 is gone too."""
+    wal = WriteAheadLog(path)
+    wal.append([("+", "a", "p", "b")])
+    wal.append([("+", "c", "p", "d")])
+    older = pathlib.Path(wal.checkpoint().path)
+    older_bytes = older.read_bytes()
+    wal.append([("+", "e", "p", "f")])
+    wal.append([("+", "g", "p", "h")])
+    if compacted:
+        wal.checkpoint()
+        older.write_bytes(older_bytes)  # as if its unlink never happened
+    else:
+        def crash(step, payload):
+            if step == "compact.unlink":
+                raise RuntimeError("killed before compaction")
+
+        wal.fault_hook = crash
+        with pytest.raises(RuntimeError):
+            wal.checkpoint()
+    (newer,) = [p for p in path.glob("checkpoint-*.ckpt") if p != older]
+    _flip(newer, len(newer.read_bytes()) // 2)
+
+
+def _all_checkpoints_corrupt(path):
+    wal = WriteAheadLog(path)
+    wal.append([("+", "a", "p", "b")])
+    ckpt = pathlib.Path(wal.checkpoint().path)
+    _flip(ckpt, len(ckpt.read_bytes()) // 2)
+
+
+def _torn_last_tail(path):
+    _rotated(path)
+    with open(_segment_paths(path)[-1], "ab") as handle:
+        handle.write(b'W1 40 00000000 {"txn"')
+
+
+def _torn_interior_segment(path):
+    interior = _rotated(path)[1]
+    interior.write_bytes(interior.read_bytes()[:-5])
+
+
+def _flipped_crc_byte(path):
+    wal = WriteAheadLog(path)
+    wal.append([("+", "a", "p", "b")])
+    wal.append([("+", "c", "p", "d")])
+    wal.close()
+    segment = _only_segment(path)
+    first_crc_digit = segment.read_bytes().index(b" ", 3) + 1
+    _flip(segment, first_crc_digit)
+
+
+#: builders of damaged journals for the inspect-vs-open equivalence test
+_DAMAGE = {
+    "torn_last_tail": _torn_last_tail,
+    "torn_interior_segment": _torn_interior_segment,
+    "deleted_interior_segment": lambda path: _rotated(path)[1].unlink(),
+    "flipped_crc_byte": _flipped_crc_byte,
+    "newest_checkpoint_corrupt_older_valid": lambda path: _two_checkpoints(
+        path, compacted=False
+    ),
+    "newest_checkpoint_corrupt_segments_compacted": (
+        lambda path: _two_checkpoints(path, compacted=True)
+    ),
+    "all_checkpoints_corrupt": _all_checkpoints_corrupt,
+}
 
 
 class TestStoreRecovery:

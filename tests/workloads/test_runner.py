@@ -114,72 +114,3 @@ class TestEndToEnd:
         text = runner.format_per_query_table(summaries, ["q"])
         assert "q" in text and ("ms" in text)
 
-
-class TestProfiledRuns:
-    QUERIES = {
-        "lookup": "SELECT ?x WHERE { ?x <p> <b> }",
-        "join": "SELECT ?x ?z WHERE { ?x <p> ?y . ?y <p> ?z }",
-    }
-
-    def test_profile_attaches_operator_breakdowns(self, small):
-        oracle = NativeMemoryStore.from_graph(small)
-        store = RdfStore.from_graph(small)
-        expected = runner.expected_counts(oracle, self.QUERIES)
-        summary = runner.run_system(
-            "db2rdf", store, self.QUERIES, expected, runs=1, profile=True
-        )
-        for outcome in summary.outcomes.values():
-            assert outcome.status == runner.COMPLETE
-            assert outcome.operators, outcome.query
-            assert all(
-                "operator" in op and "seconds" in op
-                for op in outcome.operators
-            )
-
-    def test_profile_skips_stores_without_support(self, small):
-        """A store whose query() rejects the profile kwarg is left alone."""
-        oracle = NativeMemoryStore.from_graph(small)
-        expected = runner.expected_counts(oracle, self.QUERIES)
-        summary = runner.run_system(
-            "flaky", _FlakyStore("ok"),
-            {"q1": "SELECT ?x WHERE { ?x <p> <b> }"}, {"q1": 1},
-            runs=1, profile=True,
-        )
-        assert summary.outcomes["q1"].operators is None
-        assert expected  # oracle still consulted normally
-
-    def test_unprofiled_outcomes_have_no_operators(self, small):
-        oracle = NativeMemoryStore.from_graph(small)
-        store = RdfStore.from_graph(small)
-        expected = runner.expected_counts(oracle, self.QUERIES)
-        summary = runner.run_system(
-            "db2rdf", store, self.QUERIES, expected, runs=1
-        )
-        assert all(o.operators is None for o in summary.outcomes.values())
-
-    def test_json_payload_round_trips(self, small):
-        import json
-
-        oracle = NativeMemoryStore.from_graph(small)
-        store = RdfStore.from_graph(small)
-        summaries = runner.run_benchmark(
-            {"db2rdf": store}, self.QUERIES, oracle, runs=1, profile=True
-        )
-        payload = runner.summaries_to_dict("tiny", summaries)
-        decoded = json.loads(json.dumps(payload))
-        assert decoded["dataset"] == "tiny"
-        system = decoded["systems"]["db2rdf"]
-        assert system["complete"] == 2
-        assert "cache" in system  # RdfStore exposes cache_info()
-        for query in self.QUERIES:
-            assert system["queries"][query]["operators"]
-
-    def test_format_operator_table(self, small):
-        oracle = NativeMemoryStore.from_graph(small)
-        store = RdfStore.from_graph(small)
-        expected = runner.expected_counts(oracle, self.QUERIES)
-        summary = runner.run_system(
-            "db2rdf", store, self.QUERIES, expected, runs=1, profile=True
-        )
-        text = runner.format_operator_table(summary.outcomes["join"])
-        assert "join" in text and "operator" in text and "rows_out" in text
