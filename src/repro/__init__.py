@@ -14,16 +14,11 @@ from .backends import Backend, MiniRelBackend, SqliteBackend
 from .core import (
     Budget,
     BudgetExceededError,
-    CircuitBreaker,
-    CircuitOpenError,
     DatasetStatistics,
     GuardrailError,
     QueryTimeoutError,
     RdfStore,
-    ResilientBackend,
-    RetryPolicy,
     StoreReport,
-    TransientFaultError,
     UnsupportedQueryError,
 )
 from .rdf import BNode, Graph, Literal, Namespace, Triple, URI
@@ -37,8 +32,6 @@ __all__ = [
     "Backend",
     "Budget",
     "BudgetExceededError",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "DatasetStatistics",
     "EngineConfig",
     "Graph",
@@ -48,12 +41,9 @@ __all__ = [
     "Namespace",
     "QueryTimeoutError",
     "RdfStore",
-    "ResilientBackend",
-    "RetryPolicy",
     "SelectResult",
     "SqliteBackend",
     "StoreReport",
-    "TransientFaultError",
     "Triple",
     "URI",
     "UnsupportedQueryError",

@@ -8,9 +8,8 @@ execute the AST directly or render it to text first.
 The surface is stated once. :class:`Backend` declares it — one
 ``execute`` entry point, traced or not depending on its ``tracer``
 argument — and :class:`BackendInterposer` is the one place that forwards
-all of it to a wrapped backend, so a wrapper (retry/circuit breaking,
-fault injection) overrides a single ``_around`` hook instead of
-re-listing every method.
+all of it to a wrapped backend, so a wrapper (such as fault injection)
+overrides a single ``_around`` hook instead of re-listing every method.
 """
 
 from __future__ import annotations
@@ -114,7 +113,9 @@ class Backend(abc.ABC):
         """Publish the bracket's writes to new snapshots."""
 
     def abort_write(self) -> None:
-        """Close the bracket without publishing (logical undo already ran)."""
+        """Close the bracket without publishing. The store's logical undo
+        has already restored the pre-bracket data, so minirel needs no
+        more; sqlite's ROLLBACK here reaches the same state."""
 
     # ----------------------------------------------------------- snapshots
 
@@ -152,8 +153,8 @@ class BackendInterposer(Backend):
     Everything else (write brackets, snapshots, catalog metadata, SQL
     rendering, backend extras such as ``explain_query_plan`` / ``db`` /
     ``connection``) goes straight to ``inner`` and never reaches the
-    hook, so a wrapper's per-operation accounting (fault numbering,
-    breaker state) sees exactly those four.
+    hook, so a wrapper's per-operation accounting (fault numbering)
+    sees exactly those four.
     """
 
     def __init__(self, inner: Backend) -> None:

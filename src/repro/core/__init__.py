@@ -33,13 +33,8 @@ from .querycache import (
 from .resilience import (
     Budget,
     BudgetExceededError,
-    CircuitBreaker,
-    CircuitOpenError,
     GuardrailError,
     QueryTimeoutError,
-    ResilientBackend,
-    RetryPolicy,
-    TransientFaultError,
 )
 from .schema import DB2RDFSchema
 from .stats import DatasetStatistics
@@ -50,8 +45,6 @@ __all__ = [
     "BudgetExceededError",
     "CacheInfo",
     "CachedPlan",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "ColoringMapper",
     "ColoringResult",
     "CompositeMapper",
@@ -68,14 +61,11 @@ __all__ = [
     "PredicateMapper",
     "QueryTimeoutError",
     "RdfStore",
-    "ResilientBackend",
-    "RetryPolicy",
     "SideMetadata",
     "Span",
     "StoreError",
     "StoreReport",
     "Tracer",
-    "TransientFaultError",
     "UnsupportedQueryError",
     "build_interference_graph",
     "canonicalize_sparql",

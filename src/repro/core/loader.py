@@ -8,13 +8,17 @@ predicates through the secondary hash tables with fresh lids.
 Incremental insert (the §2.2 hashing illustration, Table 3) reads the
 entity's existing rows, places the new predicate in the first free candidate
 column, upgrades a single value to a lid when a second object arrives, and
-spills into a new row when no candidate is free.
+spills into a new row when no candidate is free. Both incremental paths
+are all-or-nothing: a failed write undoes every statement it landed.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import partial
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ..backends.base import Backend
 from ..rdf.graph import Graph
@@ -182,6 +186,8 @@ class Loader:
         self.bulk_reverse_preds: set[str] = set()
         self.online_direct: dict[str, int] = {}
         self.online_reverse: dict[str, int] = {}
+        #: inverses of what the current incremental write has landed
+        self._undo: list[Callable[[], object]] = []
 
     # ------------------------------------------------------------ bulk load
 
@@ -274,6 +280,21 @@ class Loader:
 
     # ---------------------------------------------------------- incremental
 
+    @contextmanager
+    def _all_or_nothing(self) -> Iterator[None]:
+        """Run one incremental write whole or not at all: when it raises,
+        replay the inverses its statements recorded, newest first, so the
+        tables are as they were — what sqlite's ROLLBACK would also give
+        and minirel's write bracket alone would not."""
+        self._undo = []
+        try:
+            yield
+        except BaseException:
+            undo, self._undo = self._undo, []  # inverses record their own
+            for inverse in reversed(undo):
+                inverse()
+            raise
+
     def insert_triple(self, triple: Triple) -> tuple[bool, SideMetadata, SideMetadata]:
         """Insert one triple incrementally; returns ``(inserted, direct
         metadata delta, reverse metadata delta)``.
@@ -285,38 +306,39 @@ class Loader:
         object_key = _check_key(term_key(triple.object))
 
         direct_delta = SideMetadata()
-        inserted = self._insert_one_side(
-            self.schema.dph,
-            self.schema.ds,
-            self.direct_mapper,
-            self.schema.direct_columns,
-            self.direct_lids,
-            DIRECT_LID_PREFIX,
-            subject_key,
-            predicate,
-            object_key,
-            direct_delta,
-            self.bulk_direct_preds,
-            self.online_direct,
-        )
         reverse_delta = SideMetadata()
-        if inserted:
-            # The direct side is authoritative for duplicate detection; a
-            # duplicate never reaches the reverse tables.
-            self._insert_one_side(
-                self.schema.rph,
-                self.schema.rs,
-                self.reverse_mapper,
-                self.schema.reverse_columns,
-                self.reverse_lids,
-                REVERSE_LID_PREFIX,
-                object_key,
-                predicate,
+        with self._all_or_nothing():
+            inserted = self._insert_one_side(
+                self.schema.dph,
+                self.schema.ds,
+                self.direct_mapper,
+                self.schema.direct_columns,
+                self.direct_lids,
+                DIRECT_LID_PREFIX,
                 subject_key,
-                reverse_delta,
-                self.bulk_reverse_preds,
-                self.online_reverse,
+                predicate,
+                object_key,
+                direct_delta,
+                self.bulk_direct_preds,
+                self.online_direct,
             )
+            if inserted:
+                # The direct side is authoritative for duplicate detection; a
+                # duplicate never reaches the reverse tables.
+                self._insert_one_side(
+                    self.schema.rph,
+                    self.schema.rs,
+                    self.reverse_mapper,
+                    self.schema.reverse_columns,
+                    self.reverse_lids,
+                    REVERSE_LID_PREFIX,
+                    object_key,
+                    predicate,
+                    subject_key,
+                    reverse_delta,
+                    self.bulk_reverse_preds,
+                    self.online_reverse,
+                )
         return inserted, direct_delta, reverse_delta
 
     def _insert_one_side(
@@ -351,6 +373,7 @@ class Loader:
             if predicate not in bulk_seen and predicate not in online:
                 online[predicate] = column
                 delta.online_assignments[predicate] = column
+                self._undo.append(partial(online.pop, predicate))
 
         # Case 1: predicate already present on some row.
         for row in rows:
@@ -364,13 +387,11 @@ class Loader:
                             secondary_table, existing, value
                         ):
                             return False  # already in the multi-valued set
-                        self.backend.insert_many(
-                            secondary_table, [(existing, value)]
-                        )
+                        self._add_secondary(secondary_table, [(existing, value)])
                         return True
                     # Upgrade a single value to a multi-valued lid.
                     lid = lids.allocate()
-                    self.backend.insert_many(
+                    self._add_secondary(
                         secondary_table, [(lid, existing), (lid, value)]
                     )
                     self._update_cell(primary_table, row, column, predicate, lid)
@@ -388,27 +409,22 @@ class Loader:
                     return True
 
         # Case 3: no free candidate anywhere; create a (spill) row.
-        spill_flag = 1 if rows else 0
-        new_row: list = [entry, spill_flag]
-        for column in range(width):
-            is_target = column == candidates[0]
-            new_row.append(predicate if is_target else None)
-            new_row.append(value if is_target else None)
-        record_assignment(candidates[0])
+        target = candidates[0]
+        new_row = {
+            "entry": entry,
+            "spill": 1 if rows else 0,
+            "preds": [predicate if c == target else None for c in range(width)],
+            "vals": [value if c == target else None for c in range(width)],
+        }
+        record_assignment(target)
         if rows:
             # Existing rows must be flagged as spilled too.
-            self.backend.execute(
-                ast.Update(
-                    primary_table,
-                    ((SPILL, ast.Const(1)),),
-                    ast.BinOp("=", ast.Column(None, ENTRY), ast.Const(entry)),
-                )
-            )
+            self._set_spill(primary_table, entry, 1, rows[0]["spill"])
             delta.spill_rows += 1
             delta.spill_predicates.add(predicate)
         else:
             delta.entities += 1
-        self.backend.insert_many(primary_table, [new_row])
+        self._insert_row(primary_table, new_row)
         delta.rows += 1
         return True
 
@@ -425,27 +441,28 @@ class Loader:
         subject_key = term_key(triple.subject)
         predicate = triple.predicate.value
         object_key = term_key(triple.object)
-        existed = self._delete_one_side(
-            self.schema.dph,
-            self.schema.ds,
-            self.direct_mapper,
-            self.schema.direct_columns,
-            DIRECT_LID_PREFIX,
-            subject_key,
-            predicate,
-            object_key,
-        )
-        if existed:
-            self._delete_one_side(
-                self.schema.rph,
-                self.schema.rs,
-                self.reverse_mapper,
-                self.schema.reverse_columns,
-                REVERSE_LID_PREFIX,
-                object_key,
-                predicate,
+        with self._all_or_nothing():
+            existed = self._delete_one_side(
+                self.schema.dph,
+                self.schema.ds,
+                self.direct_mapper,
+                self.schema.direct_columns,
+                DIRECT_LID_PREFIX,
                 subject_key,
+                predicate,
+                object_key,
             )
+            if existed:
+                self._delete_one_side(
+                    self.schema.rph,
+                    self.schema.rs,
+                    self.reverse_mapper,
+                    self.schema.reverse_columns,
+                    REVERSE_LID_PREFIX,
+                    object_key,
+                    predicate,
+                    subject_key,
+                )
         return existed
 
     def _delete_one_side(
@@ -473,34 +490,14 @@ class Loader:
                 if stored is not None and stored.startswith(lid_prefix):
                     if not self._secondary_contains(secondary_table, stored, value):
                         return False
-                    self.backend.execute(
-                        ast.Delete(
-                            secondary_table,
-                            ast.BinOp(
-                                "AND",
-                                ast.BinOp(
-                                    "=", ast.Column(None, "l_id"), ast.Const(stored)
-                                ),
-                                ast.BinOp(
-                                    "=", ast.Column(None, "elm"), ast.Const(value)
-                                ),
-                            ),
-                        )
-                    )
+                    self._remove_secondary(secondary_table, stored, value)
                     remaining = self._secondary_values(secondary_table, stored)
                     if len(remaining) == 1:
                         # demote back to a direct single value
                         self._update_cell(
                             primary_table, row, column, predicate, remaining[0]
                         )
-                        self.backend.execute(
-                            ast.Delete(
-                                secondary_table,
-                                ast.BinOp(
-                                    "=", ast.Column(None, "l_id"), ast.Const(stored)
-                                ),
-                            )
-                        )
+                        self._remove_secondary(secondary_table, stored, remaining[0])
                     elif not remaining:
                         self._clear_cell(primary_table, row, column)
                         self._drop_row_if_empty(primary_table, row)
@@ -521,14 +518,8 @@ class Loader:
         self._update_cell(primary_table, row, column, None, None)
 
     def _drop_row_if_empty(self, primary_table: str, row: dict) -> None:
-        if any(pred is not None for pred in row["preds"]):
-            return
-        conditions: list[ast.Expr] = [
-            ast.BinOp("=", ast.Column(None, ENTRY), ast.Const(row["entry"]))
-        ]
-        for i in range(len(row["preds"])):
-            conditions.append(ast.IsNull(ast.Column(None, pred_col(i))))
-        self.backend.execute(ast.Delete(primary_table, ast.conjoin(conditions)))
+        if all(pred is None for pred in row["preds"]):
+            self._delete_row(primary_table, row)
 
     def _fetch_entity_rows(
         self, primary_table: str, entry: str, width: int
@@ -568,6 +559,9 @@ class Loader:
         _, rows = self.backend.execute(query)
         return bool(rows)
 
+    # Every incremental write statement goes through a helper below, which
+    # records the statement's inverse for _all_or_nothing.
+
     def _update_cell(
         self,
         primary_table: str,
@@ -576,31 +570,8 @@ class Loader:
         predicate: str | None,
         value: str | None,
     ) -> None:
-        """Update one pred/val cell of a specific entity row.
-
-        Rows of one entity are distinguished by the predicate content of the
-        row's cells (entities have no surrogate row key), so the WHERE clause
-        pins the row by entry plus its current cell state.
-        """
-        conditions: list[ast.Expr] = [
-            ast.BinOp("=", ast.Column(None, ENTRY), ast.Const(row["entry"]))
-        ]
-        for i, (existing_pred, existing_val) in enumerate(
-            zip(row["preds"], row["vals"])
-        ):
-            if existing_pred is None:
-                conditions.append(ast.IsNull(ast.Column(None, pred_col(i))))
-            else:
-                conditions.append(
-                    ast.BinOp(
-                        "=", ast.Column(None, pred_col(i)), ast.Const(existing_pred)
-                    )
-                )
-                conditions.append(
-                    ast.BinOp(
-                        "=", ast.Column(None, val_col(i)), ast.Const(existing_val)
-                    )
-                )
+        """Update one pred/val cell of a specific entity row."""
+        old = row["preds"][column], row["vals"][column]
         self.backend.execute(
             ast.Update(
                 primary_table,
@@ -608,8 +579,54 @@ class Loader:
                     (pred_col(column), ast.Const(predicate)),
                     (val_col(column), ast.Const(value)),
                 ),
-                ast.conjoin(conditions),
+                _row_match(row),
             )
         )
         row["preds"][column] = predicate
         row["vals"][column] = value
+        self._undo.append(partial(self._update_cell, primary_table, row, column, *old))
+
+    def _insert_row(self, primary_table: str, row: dict) -> None:
+        cells = chain.from_iterable(zip(row["preds"], row["vals"]))
+        self.backend.insert_many(primary_table, [[row["entry"], row["spill"], *cells]])
+        self._undo.append(partial(self._delete_row, primary_table, row))
+
+    def _delete_row(self, primary_table: str, row: dict) -> None:
+        self.backend.execute(ast.Delete(primary_table, _row_match(row)))
+        self._undo.append(partial(self._insert_row, primary_table, row))
+
+    def _set_spill(self, table: str, entry: str, flag: int, was: int) -> None:
+        """Set the spill flag on every row of ``entry`` (all were ``was``)."""
+        match = ast.BinOp("=", ast.Column(None, ENTRY), ast.Const(entry))
+        self.backend.execute(ast.Update(table, ((SPILL, ast.Const(flag)),), match))
+        self._undo.append(partial(self._set_spill, table, entry, was, flag))
+
+    def _add_secondary(self, table: str, pairs: list[tuple[str, str]]) -> None:
+        self.backend.insert_many(table, pairs)
+        for lid, value in pairs:
+            self._undo.append(partial(self._remove_secondary, table, lid, value))
+
+    def _remove_secondary(self, table: str, lid: str, value: str) -> None:
+        lid_is = ast.BinOp("=", ast.Column(None, "l_id"), ast.Const(lid))
+        elm_is = ast.BinOp("=", ast.Column(None, "elm"), ast.Const(value))
+        self.backend.execute(ast.Delete(table, ast.BinOp("AND", lid_is, elm_is)))
+        self._undo.append(partial(self._add_secondary, table, [(lid, value)]))
+
+
+def _row_match(row: dict) -> ast.Expr:
+    """Pin one entity row by entry plus its current cell state: rows of one
+    entity are told apart only by their cells (there is no row key)."""
+    conditions: list[ast.Expr] = [
+        ast.BinOp("=", ast.Column(None, ENTRY), ast.Const(row["entry"]))
+    ]
+    for i, (pred, val) in enumerate(zip(row["preds"], row["vals"])):
+        if pred is None:
+            conditions.append(ast.IsNull(ast.Column(None, pred_col(i))))
+        else:
+            conditions.append(
+                ast.BinOp("=", ast.Column(None, pred_col(i)), ast.Const(pred))
+            )
+            conditions.append(
+                ast.BinOp("=", ast.Column(None, val_col(i)), ast.Const(val))
+            )
+    return ast.conjoin(conditions)

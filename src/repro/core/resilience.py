@@ -1,4 +1,4 @@
-"""Execution guardrails, retries, and deterministic fault injection.
+"""Execution guardrails and deterministic fault injection.
 
 Production stores bound runaway queries and survive crashes at arbitrary
 points; this module gives the reproduction both properties and — just as
@@ -13,11 +13,6 @@ importantly — the machinery to *prove* them:
   :class:`~repro.core.errors.StoreError`; ``QueryTimeoutError`` also
   subclasses the relational :class:`~repro.relational.errors.QueryTimeout`
   so the paper's timeout classification keeps working unchanged.
-* **Retries + circuit breaking.** :class:`ResilientBackend` wraps any
-  backend with a seeded-jitter exponential-backoff :class:`RetryPolicy`
-  for :class:`TransientFaultError` and a per-backend
-  :class:`CircuitBreaker` that fails fast with :class:`CircuitOpenError`
-  (carrying breaker state) instead of hammering a sick backend.
 * **Deterministic fault injection.** A :class:`FaultPlan` is a seeded
   schedule of :class:`Fault` rules — fail the Nth ``insert_many``, raise
   on ``fsync``, kill (or tear) WAL record K, fill the disk, lose the
@@ -40,14 +35,12 @@ from __future__ import annotations
 
 import errno
 import os
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable
 
 from ..backends.base import Backend, BackendInterposer
-from ..relational import ast
 from ..relational.errors import QueryTimeout
 from .errors import StoreError
 
@@ -75,16 +68,8 @@ class BudgetExceededError(GuardrailError):
 
 
 class TransientFaultError(StoreError):
-    """A retryable backend failure (injected by :class:`ChaosBackend`)."""
-
-
-class CircuitOpenError(StoreError):
-    """The per-backend circuit breaker is open: failing fast, not hanging."""
-
-    def __init__(self, message: str, state: str, failures: int) -> None:
-        super().__init__(message)
-        self.state = state
-        self.failures = failures
+    """A survivable injected backend failure (:class:`ChaosBackend`); the
+    write it interrupts leaves the store as it was, on either backend."""
 
 
 class SimulatedCrash(Exception):
@@ -175,177 +160,6 @@ class Budget:
         )
 
 
-# ------------------------------------------------------- retries and breaking
-
-
-class RetryPolicy:
-    """Seeded-jitter exponential backoff for transient backend faults.
-
-    Attempt ``n`` (0-based) sleeps ``min(max_delay, base_delay * 2**n)``
-    scaled by a jitter factor in ``[0.5, 1.0)`` drawn from a seeded RNG,
-    so a schedule is fully reproducible from its seed. ``sleep`` is
-    injectable for tests.
-    """
-
-    def __init__(
-        self,
-        attempts: int = 3,
-        base_delay: float = 0.01,
-        max_delay: float = 1.0,
-        seed: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        self.attempts = attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.seed = seed
-        self.sleep = sleep
-        self._rng = random.Random(seed)
-
-    def delays(self) -> Iterator[float]:
-        """The backoff schedule: one delay per retry (attempts - 1 total)."""
-        for attempt in range(self.attempts - 1):
-            base = min(self.max_delay, self.base_delay * (2**attempt))
-            yield base * (0.5 + self._rng.random() / 2)
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker: closed → open → half-open.
-
-    ``failure_threshold`` consecutive failures open the circuit; while
-    open, calls are refused until ``reset_timeout`` seconds pass, after
-    which one probe is allowed (half-open). A probe success closes the
-    circuit; a probe failure re-opens it immediately.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        reset_timeout: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self._clock = clock
-        self.state = "closed"  # closed | open | half-open
-        self.failures = 0
-        self.opened_at: float | None = None
-
-    def allow(self) -> bool:
-        if self.state == "closed":
-            return True
-        if self.state == "open":
-            assert self.opened_at is not None
-            if self._clock() - self.opened_at >= self.reset_timeout:
-                self.state = "half-open"
-                return True
-            return False
-        return True  # half-open: the single probe is in flight
-
-    def record_success(self) -> None:
-        self.state = "closed"
-        self.failures = 0
-        self.opened_at = None
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if self.state == "half-open" or self.failures >= self.failure_threshold:
-            self.state = "open"
-            self.opened_at = self._clock()
-
-
-class ResilientBackend(BackendInterposer):
-    """A backend wrapper: retry transient faults, break circuits.
-
-    Only :class:`TransientFaultError` is retried — real errors (syntax,
-    guardrail trips, :class:`SimulatedCrash`) propagate untouched. Every
-    underlying failure feeds the breaker; once it opens, calls fail fast
-    with :class:`CircuitOpenError` carrying the breaker state instead of
-    hanging on a sick backend. ``metrics`` counts retries, faults seen,
-    breaker opens, and short-circuited calls; a traced ``execute`` also
-    reports its retries as span counters.
-    """
-
-    def __init__(
-        self,
-        inner: Backend,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-    ) -> None:
-        super().__init__(inner)
-        self.retry = retry or RetryPolicy()
-        self.breaker = breaker or CircuitBreaker()
-        self.name = f"resilient({inner.name})"
-        self.metrics: dict[str, int] = {
-            "retries": 0,
-            "faults": 0,
-            "breaker_opens": 0,
-            "short_circuits": 0,
-        }
-
-    def _around(self, op: str, call: Callable[[], Any]) -> Any:
-        breaker = self.breaker
-        if not breaker.allow():
-            self.metrics["short_circuits"] += 1
-            raise CircuitOpenError(
-                f"circuit open for backend {self.inner.name!r}: refusing "
-                f"{op} after {breaker.failures} consecutive faults",
-                state=breaker.state,
-                failures=breaker.failures,
-            )
-        delays = self.retry.delays()
-        while True:
-            try:
-                result = call()
-            except TransientFaultError as exc:
-                self.metrics["faults"] += 1
-                breaker.record_failure()
-                if breaker.state == "open":
-                    self.metrics["breaker_opens"] += 1
-                    raise CircuitOpenError(
-                        f"circuit opened for backend {self.inner.name!r} "
-                        f"during {op} after {breaker.failures} consecutive "
-                        f"faults: {exc}",
-                        state=breaker.state,
-                        failures=breaker.failures,
-                    ) from exc
-                try:
-                    delay = next(delays)
-                except StopIteration:
-                    raise exc from None
-                self.metrics["retries"] += 1
-                if delay > 0:
-                    self.retry.sleep(delay)
-            else:
-                breaker.record_success()
-                return result
-
-    def insert_many(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
-        # Materialize once so a retried call re-sends identical rows.
-        return super().insert_many(
-            table_name, rows if isinstance(rows, list) else list(rows)
-        )
-
-    def execute(
-        self,
-        statement: ast.Statement | str,
-        timeout: float | None = None,
-        budget: Any = None,
-        snapshot: Any = None,
-        tracer: Any = None,
-    ) -> tuple[list[str], list[tuple]]:
-        if tracer is None:
-            return super().execute(statement, timeout, budget, snapshot)
-        before = self.metrics["retries"]
-        with tracer.span("resilient", backend=self.inner.name) as span:
-            result = super().execute(statement, timeout, budget, snapshot, tracer)
-            span.set("retries", self.metrics["retries"] - before)
-            span.set("breaker", self.breaker.state)
-        return result
-
-
 # ------------------------------------------------------------ fault injection
 
 
@@ -364,7 +178,7 @@ class Fault:
 
     ``kind`` selects what happens:
 
-    * ``"transient"`` — retryable :class:`TransientFaultError`;
+    * ``"transient"`` — survivable :class:`TransientFaultError`;
     * ``"crash"`` — :class:`SimulatedCrash` (process death);
     * ``"enospc"`` — ``OSError(ENOSPC)``, the disk filling up mid-write;
       the journal reacts by truncating the partial record and raising
@@ -418,33 +232,6 @@ class FaultPlan:
             )
         raise TransientFaultError(f"injected transient fault at {where}")
 
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        ops: Sequence[str] = ("execute", "insert_many"),
-        horizon: int = 300,
-        rate: float = 0.15,
-        max_consecutive: int = 2,
-        kind: str = "transient",
-    ) -> "FaultPlan":
-        """A seeded random schedule: each of the first ``horizon``
-        occurrences of each op faults with probability ``rate``, with at
-        most ``max_consecutive`` faulted occurrences in a row (so a retry
-        policy with ``attempts > max_consecutive`` always gets through).
-        """
-        rng = random.Random(seed)
-        faults: list[Fault] = []
-        for op in ops:
-            run = 0
-            for at in range(1, horizon + 1):
-                if run < max_consecutive and rng.random() < rate:
-                    faults.append(Fault(op=op, at=at, kind=kind))
-                    run += 1
-                else:
-                    run = 0
-        return cls(faults)
-
     def wal_hook(self) -> Callable[[str, dict], None]:
         """A :class:`~repro.update.wal.WriteAheadLog` fault hook driven by
         this plan: counts journal steps (append, rotation, checkpoint,
@@ -491,8 +278,7 @@ class ChaosBackend(BackendInterposer):
     the :class:`FaultPlan` before each one. Write brackets, snapshots and
     metadata reads are not fault-injection points: they never reach the
     hook, which keeps the op numbering every recorded crash-matrix
-    scenario depends on. Compose under :class:`ResilientBackend` to
-    exercise the retry path.
+    scenario depends on.
     """
 
     def __init__(

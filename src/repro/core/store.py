@@ -497,7 +497,9 @@ class RdfStore:
 
     # Raw single-triple writes: no transaction, no epoch bump. These are the
     # primitives Transaction (and WAL replay) build on; everything public
-    # goes through a transaction.
+    # goes through a transaction. One that raises changes nothing: the
+    # loader undoes its partial write, and stats and side metadata are only
+    # touched after it returns.
 
     def _apply_add(self, triple: Triple) -> bool:
         inserted, direct_delta, reverse_delta = self.loader.insert_triple(triple)

@@ -15,10 +15,9 @@ writer lock) never wait for readers. Routes follow the protocol spec:
 Failures map to typed JSON bodies carrying the same classification as the
 CLI's exit codes (syntax → 400/2, timeout → 408/3, budget → 413/4,
 journal → 500/5), so scripted clients of either surface share one error
-vocabulary. When ``max_concurrent`` requests are already in flight — or a
-:class:`~repro.core.resilience.CircuitOpenError` escapes a wrapped
-backend — the server sheds load with a 503 + ``Retry-After`` instead of
-queueing without bound.
+vocabulary. When ``max_concurrent`` requests are already in flight the
+server sheds load with a 503 + ``Retry-After`` instead of queueing without
+bound.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any
 
 from ..cli import EXIT_BUDGET, EXIT_SYNTAX, EXIT_TIMEOUT, EXIT_WAL
-from ..core.resilience import BudgetExceededError, CircuitOpenError
+from ..core.resilience import BudgetExceededError
 from ..relational.errors import QueryTimeout
 from ..sparql.parser import SparqlSyntaxError
 from ..sparql.results import (
@@ -83,10 +82,6 @@ def _map_exception(exc: Exception) -> HttpResponse:
         return HttpResponse.text(500, _error_body("wal", str(exc), EXIT_WAL))
     if isinstance(exc, SparqlSyntaxError):
         return HttpResponse.text(400, _error_body("syntax", str(exc), EXIT_SYNTAX))
-    if isinstance(exc, CircuitOpenError):
-        response = HttpResponse.text(503, _error_body("circuit-open", str(exc)))
-        response.headers["retry-after"] = "1"
-        return response
     return HttpResponse.text(500, _error_body("internal", str(exc)))
 
 

@@ -1,5 +1,7 @@
 """Predicate-oriented baseline: per-predicate tables and translation."""
 
+import re
+
 import pytest
 
 from repro import Graph, Triple, URI
@@ -32,8 +34,9 @@ class TestTranslation:
         sql = store.explain(
             "SELECT ?s WHERE { ?s <industry> <Software> . ?s <HQ> <Armonk> }"
         )
-        assert sql.count(store.tables["industry"]) == 1
-        assert sql.count(store.tables["HQ"]) == 1
+        # Whole names only: VP1 must not count the VP11 in the same text.
+        for predicate in ("industry", "HQ"):
+            assert len(re.findall(rf"\b{store.tables[predicate]}\b", sql)) == 1
 
     def test_figure6_matches_reference(self, store, fig1_graph):
         reference = query_graph(fig1_graph, FIGURE6_QUERY)

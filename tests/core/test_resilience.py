@@ -1,4 +1,4 @@
-"""Execution guardrails, retry/backoff, circuit breaking, fault plans."""
+"""Execution guardrails, fault plans, and the interposed backend surface."""
 
 import copy
 import inspect
@@ -14,14 +14,10 @@ from repro.core.resilience import (
     Budget,
     BudgetExceededError,
     ChaosBackend,
-    CircuitBreaker,
-    CircuitOpenError,
     Fault,
     FaultPlan,
     GuardrailError,
     QueryTimeoutError,
-    ResilientBackend,
-    RetryPolicy,
     TransientFaultError,
 )
 from repro.relational import ColumnType
@@ -137,176 +133,10 @@ class TestBudgetGuardrails:
         assert budget.tripped == "rows"
 
 
-# ------------------------------------------------------------- retry policies
-
-
-class TestRetryPolicy:
-    def test_same_seed_same_schedule(self):
-        a = list(RetryPolicy(attempts=6, seed=42).delays())
-        b = list(RetryPolicy(attempts=6, seed=42).delays())
-        assert a == b
-        assert len(a) == 5
-
-    def test_different_seed_different_jitter(self):
-        a = list(RetryPolicy(attempts=6, seed=1).delays())
-        b = list(RetryPolicy(attempts=6, seed=2).delays())
-        assert a != b
-
-    def test_exponential_shape_and_cap(self):
-        policy = RetryPolicy(attempts=10, base_delay=0.01, max_delay=0.08, seed=0)
-        delays = list(policy.delays())
-        # Jitter scales each base delay into [0.5, 1.0) of it.
-        for n, delay in enumerate(delays):
-            base = min(0.08, 0.01 * 2**n)
-            assert base * 0.5 <= delay < base
-        assert max(delays) < 0.08
-
-    def test_rejects_zero_attempts(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-
-
-# ------------------------------------------------------------ circuit breaker
-
-
-class TestCircuitBreaker:
-    def test_state_machine(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=3, reset_timeout=10.0, clock=lambda: clock[0]
-        )
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # below threshold
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock[0] = 9.9
-        assert not breaker.allow()
-        clock[0] = 10.0  # reset timeout elapsed: one probe allowed
-        assert breaker.allow()
-        assert breaker.state == "half-open"
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.failures == 0
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=5.0, clock=lambda: clock[0]
-        )
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock[0] = 5.0
-        assert breaker.allow()
-        breaker.record_failure()  # the probe fails
-        assert breaker.state == "open"
-        assert breaker.opened_at == 5.0  # the open window restarted
-
-    def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # failures were not consecutive
-
-
-# ----------------------------------------------------- retries over real work
-
-
-def _chaos_pair(backend_factory, plan, attempts=4, threshold=1000):
-    """A ResilientBackend over a ChaosBackend over a real backend."""
-    chaos = ChaosBackend(backend_factory(), plan)
-    resilient = ResilientBackend(
-        chaos,
-        retry=RetryPolicy(attempts=attempts, base_delay=0, sleep=lambda s: None),
-        breaker=CircuitBreaker(failure_threshold=threshold),
-    )
-    return chaos, resilient
-
-
-class TestResilientBackend:
-    @pytest.mark.parametrize("backend_factory", BACKENDS)
-    def test_transient_faults_are_retried_transparently(self, backend_factory):
-        plan = FaultPlan(
-            [Fault(op="execute", at=1), Fault(op="execute", at=2)]
-        )
-        chaos, resilient = _chaos_pair(backend_factory, plan)
-        _loaded(resilient)
-        chaos.arm()
-        columns, rows = resilient.execute("SELECT COUNT(*) FROM t")
-        assert rows == [(400,)]
-        assert resilient.metrics["retries"] == 2
-        assert resilient.metrics["faults"] == 2
-        assert len(plan.fired) == 2
-
-    @pytest.mark.parametrize("backend_factory", BACKENDS)
-    def test_exhausted_retries_reraise(self, backend_factory):
-        plan = FaultPlan([Fault(op="execute", at=n) for n in range(1, 10)])
-        chaos, resilient = _chaos_pair(backend_factory, plan, attempts=3)
-        _loaded(resilient)
-        chaos.arm()
-        with pytest.raises(TransientFaultError):
-            resilient.execute("SELECT COUNT(*) FROM t")
-        assert resilient.metrics["faults"] == 3  # attempts, then gave up
-
-    @pytest.mark.parametrize("backend_factory", BACKENDS)
-    def test_breaker_opens_and_short_circuits(self, backend_factory):
-        plan = FaultPlan([Fault(op="execute", at=n) for n in range(1, 10)])
-        chaos, resilient = _chaos_pair(
-            backend_factory, plan, attempts=10, threshold=2
-        )
-        _loaded(resilient)
-        chaos.arm()
-        with pytest.raises(CircuitOpenError) as excinfo:
-            resilient.execute("SELECT COUNT(*) FROM t")
-        assert excinfo.value.state == "open"
-        assert excinfo.value.failures == 2
-        assert resilient.metrics["breaker_opens"] == 1
-        # While open, calls fail fast without touching the backend.
-        before = chaos.op_counts["execute"]
-        with pytest.raises(CircuitOpenError):
-            resilient.execute("SELECT COUNT(*) FROM t")
-        assert chaos.op_counts["execute"] == before
-        assert resilient.metrics["short_circuits"] == 1
-
-    def test_store_runs_unchanged_over_resilient_chaos(self):
-        plan = FaultPlan.random(0, ops=("execute",), rate=0.3)
-        chaos = ChaosBackend(MiniRelBackend(), plan)
-        resilient = ResilientBackend(
-            chaos,
-            retry=RetryPolicy(attempts=4, base_delay=0, sleep=lambda s: None),
-            breaker=CircuitBreaker(failure_threshold=1000),
-        )
-        store = RdfStore.from_graph(figure1_graph(), backend=resilient)
-        reference = RdfStore.from_graph(figure1_graph())
-        chaos.arm()
-        for _ in range(20):
-            got = store.query(ALL_SPO)
-        assert got.canonical() == reference.query(ALL_SPO).canonical()
-        assert resilient.metrics["retries"] > 0  # chaos actually fired
-
-
 # ----------------------------------------------------------------- fault plans
 
 
 class TestFaultPlan:
-    def test_random_is_deterministic(self):
-        a = FaultPlan.random(7)._by_op
-        b = FaultPlan.random(7)._by_op
-        assert a == b
-        assert a != FaultPlan.random(8)._by_op
-
-    def test_random_bounds_consecutive_faults(self):
-        plan = FaultPlan.random(
-            3, ops=("execute",), rate=0.9, max_consecutive=2, horizon=200
-        )
-        slots = sorted(plan._by_op["execute"])
-        run = 1
-        for prev, cur in zip(slots, slots[1:]):
-            run = run + 1 if cur == prev + 1 else 1
-            assert run <= 2
-
     def test_chaos_counts_only_while_armed(self):
         chaos = ChaosBackend(
             MiniRelBackend(), FaultPlan([Fault(op="create_table", at=1)])
@@ -367,7 +197,7 @@ SURFACE_CALLS = {
 
 def _backend_surface():
     """Every public member ``Backend`` declares. ``name`` is left out: a
-    wrapper deliberately reports its own (``resilient(chaos(...))``)."""
+    wrapper deliberately reports its own (``chaos(...)``)."""
     return sorted(
         member
         for member in vars(Backend)
@@ -410,22 +240,21 @@ def _spy_on_around(wrapper):
 @pytest.mark.parametrize("member", _backend_surface())
 def test_every_backend_member_reaches_the_inner_backend_once(member):
     """A method added to ``Backend`` fails here until ``BackendInterposer``
-    routes it: called through both wrappers it must arrive at the inner
-    backend exactly once, arguments intact, through ``_around`` once per
-    wrapper if it is one of the four hooked ops and never otherwise."""
+    routes it: called through the wrapper it must arrive at the inner
+    backend exactly once, arguments intact, through ``_around`` once if it
+    is one of the four hooked ops and never otherwise."""
     inner = _recording_backend()
     chaos = ChaosBackend(inner, armed=True)
-    resilient = ResilientBackend(chaos)
-    hooks = [_spy_on_around(resilient), _spy_on_around(chaos)]
+    hooks = _spy_on_around(chaos)
 
     if not callable(getattr(Backend, member)):
-        assert getattr(resilient, member) is getattr(inner, member)
-        assert inner.calls == [] and hooks == [[], []]
+        assert getattr(chaos, member) is getattr(inner, member)
+        assert inner.calls == [] and hooks == []
         return
 
     assert member in SURFACE_CALLS, f"add a call for Backend.{member}"
     sent = SURFACE_CALLS[member]
-    result = getattr(resilient, member)(**sent)
+    result = getattr(chaos, member)(**sent)
 
     ((name, args, kwargs),) = inner.calls
     assert name == member
@@ -440,11 +269,11 @@ def test_every_backend_member_reaches_the_inner_backend_once(member):
         assert arrived is value or arrived == value, parameter
 
     expected = [member] if member in HOOKED_OPS else []
-    assert hooks == [expected, expected]
+    assert hooks == expected
     assert dict(chaos.op_counts) == {op: 1 for op in expected}
 
 
-@pytest.mark.parametrize("wrap", [ResilientBackend, ChaosBackend])
+@pytest.mark.parametrize("wrap", [ChaosBackend])
 def test_wrappers_can_be_copied(wrap):
     """``copy`` probes dunders on an instance whose ``__init__`` never ran;
     ``__getattr__`` must answer AttributeError, not chase ``self.inner``."""
@@ -458,27 +287,23 @@ def test_wrappers_can_be_copied(wrap):
 
 @pytest.mark.parametrize("backend_factory", BACKENDS)
 def test_profiled_query_through_wrappers_matches_unprofiled(backend_factory):
-    """One transient fault on the query's execute: the traced call retries
-    exactly like the untraced one and the trace shows the whole stack."""
+    """Through an armed fault-injection wrapper with nothing scheduled, the
+    traced call runs exactly like the untraced one and the trace reaches
+    the inner backend's span."""
 
     def run(profile):
-        plan = FaultPlan([Fault(op="execute", at=1)])
-        chaos, resilient = _chaos_pair(backend_factory, plan)
-        store = RdfStore.from_graph(figure1_graph(), backend=resilient)
+        chaos = ChaosBackend(backend_factory())
+        store = RdfStore.from_graph(figure1_graph(), backend=chaos)
         chaos.arm()
         return chaos, store.query(ALL_SPO, profile=profile)
 
     chaos_off, plain = run(profile=False)
     chaos_on, profiled = run(profile=True)
     assert profiled.canonical() == plain.canonical()
-    assert chaos_on.op_counts["execute"] == chaos_off.op_counts["execute"] == 2
+    assert chaos_on.op_counts["execute"] == chaos_off.op_counts["execute"] == 1
 
     execute = profiled.profile.find("execute")
-    (resilient_span,) = execute.children
-    assert resilient_span.name == "resilient"
-    assert resilient_span.attrs["retries"] == 1
-    assert resilient_span.attrs["breaker"] == "closed"
-    (backend_span,) = resilient_span.children  # the faulted try never ran
+    (backend_span,) = execute.children
     inner_name = chaos_on.inner.name
     assert backend_span.name == f"{inner_name}.execute"
     assert backend_span.attrs["rows_out"] == len(plain)

@@ -23,7 +23,6 @@ import pytest
 
 from repro import MiniRelBackend, RdfStore
 from repro.cli import EXIT_BUDGET, EXIT_SYNTAX, EXIT_TIMEOUT
-from repro.core.resilience import CircuitBreaker, ResilientBackend
 from repro.server.app import SparqlServer
 from repro.update import inspect_wal
 
@@ -301,24 +300,6 @@ def test_malformed_request_line_is_400():
 
 
 # ------------------------------------------------------------ backpressure
-
-
-def test_circuit_open_backend_is_503():
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout=3600.0)
-    backend = ResilientBackend(MiniRelBackend(), breaker=breaker)
-    store = RdfStore.from_graph(figure1_graph(), backend=backend)
-    breaker.record_failure()  # force the circuit open
-    assert breaker.state == "open"
-    server, thread = _serve(store)
-    try:
-        client = Client(server.port)
-        status, headers, payload = client.get_query(INDUSTRIES)
-        assert status == 503
-        assert _error(payload)["type"] == "circuit-open"
-        assert "Retry-After" in headers
-    finally:
-        server.shutdown()
-        thread.join(10)
 
 
 def test_overload_sheds_with_503():

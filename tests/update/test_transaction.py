@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import RdfStore, Triple, URI
+from repro import MiniRelBackend, RdfStore, SqliteBackend, Triple, URI
+from repro.core.resilience import (
+    ChaosBackend,
+    Fault,
+    FaultPlan,
+    TransientFaultError,
+)
 from repro.update import TransactionError
 
 from ..conftest import figure1_graph
@@ -167,6 +173,62 @@ class TestUsageErrors:
                 store.update('INSERT DATA { <a> <p> "x" }')
                 raise RuntimeError("abort")  # rolls the update back too
         assert store.stats.total_triples == baseline
+
+
+# ------------------------------------------------------ failed writes
+
+#: one write per loader path: fresh entities on both sides, a spill row
+#: plus a free reverse cell, a single value upgraded to a multi-valued
+#: lid, and a delete that demotes a lid back to a single value on both
+#: sides
+FAILING_WRITES = {
+    "add_fresh": lambda store: store.add(t("Ada", "founder", "Engines")),
+    "add_spill": lambda store: store.add(t("Google", "home", "Software")),
+    "add_upgrade": lambda store: store.add(t("Larry_Page", "founder", "Software")),
+    "delete_demote": lambda store: store.update(
+        "DELETE DATA { <Google> <industry> <Software> }"
+    ),
+}
+
+#: the direct side (every triple) and the reverse side (keyed by object)
+STATE_PROBES = (
+    "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+    "SELECT ?s ?p WHERE { ?s ?p <Software> }",
+)
+
+
+def _armed_ops(write: str) -> int:
+    """How many hooked backend operations the write performs."""
+    chaos = ChaosBackend(MiniRelBackend())
+    store = RdfStore.from_graph(figure1_graph(), backend=chaos)
+    chaos.arm()
+    FAILING_WRITES[write](store)
+    return chaos.total_ops
+
+
+def _state(store) -> tuple:
+    answers = tuple(tuple(store.query(probe).canonical()) for probe in STATE_PROBES)
+    return answers, store.stats.total_triples
+
+
+@pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
+@pytest.mark.parametrize(
+    "write, k",
+    [(write, k) for write in FAILING_WRITES for k in range(1, _armed_ops(write) + 1)],
+)
+def test_failed_write_leaves_the_pre_state(backend_factory, write, k):
+    """A fault at any backend op of one write raises and leaves the store
+    exactly as before — minirel by logical undo, sqlite by ROLLBACK."""
+    plan = FaultPlan([Fault("any", k)])
+    chaos = ChaosBackend(backend_factory(), plan)
+    store = RdfStore.from_graph(figure1_graph(), backend=chaos)
+    before = _state(store)
+    chaos.arm()
+    with pytest.raises(TransientFaultError):
+        FAILING_WRITES[write](store)
+    assert len(plan.fired) == 1
+    chaos.armed = False
+    assert _state(store) == before
 
 
 def test_online_assignment_for_novel_predicate():
