@@ -113,9 +113,9 @@ class Backend(abc.ABC):
         """Publish the bracket's writes to new snapshots."""
 
     def abort_write(self) -> None:
-        """Close the bracket without publishing. The store's logical undo
-        has already restored the pre-bracket data, so minirel needs no
-        more; sqlite's ROLLBACK here reaches the same state."""
+        """Close the bracket without publishing and restore the data to
+        its state at :meth:`begin_write`: sqlite by ``ROLLBACK``, minirel
+        from its bracket log. This is the store's only data undo."""
 
     # ----------------------------------------------------------- snapshots
 

@@ -8,17 +8,15 @@ predicates through the secondary hash tables with fresh lids.
 Incremental insert (the §2.2 hashing illustration, Table 3) reads the
 entity's existing rows, places the new predicate in the first free candidate
 column, upgrades a single value to a lid when a second object arrives, and
-spills into a new row when no candidate is free. Both incremental paths
-are all-or-nothing: a failed write undoes every statement it landed.
+spills into a new row when no candidate is free. The loader keeps no undo
+of its own: the store runs every write inside a backend write bracket, and
+aborting that bracket (with the store's side-state copy) is the rollback.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping
 
 from ..backends.base import Backend
 from ..rdf.graph import Graph
@@ -56,6 +54,13 @@ class SideMetadata:
     #: online insert algorithm assigned them (paper §2.5): later inserts of
     #: the same predicate prefer this column so it stays clustered.
     online_assignments: dict[str, int] = field(default_factory=dict)
+
+    def copy(self) -> "SideMetadata":
+        return replace(
+            self, multivalued=set(self.multivalued),
+            spill_predicates=set(self.spill_predicates),
+            online_assignments=dict(self.online_assignments),
+        )
 
     def merge(self, other: "SideMetadata") -> None:
         self.multivalued |= other.multivalued
@@ -186,8 +191,16 @@ class Loader:
         self.bulk_reverse_preds: set[str] = set()
         self.online_direct: dict[str, int] = {}
         self.online_reverse: dict[str, int] = {}
-        #: inverses of what the current incremental write has landed
-        self._undo: list[Callable[[], object]] = []
+
+    def _side(self, direct: bool) -> tuple:
+        """One direction's (primary table, secondary table, mapper, width,
+        lid allocator, bulk-seen predicates, online assignments)."""
+        schema = self.schema
+        if direct:
+            return (schema.dph, schema.ds, self.direct_mapper, schema.direct_columns,
+                    self.direct_lids, self.bulk_direct_preds, self.online_direct)
+        return (schema.rph, schema.rs, self.reverse_mapper, schema.reverse_columns,
+                self.reverse_lids, self.bulk_reverse_preds, self.online_reverse)
 
     # ------------------------------------------------------------ bulk load
 
@@ -203,25 +216,10 @@ class Loader:
         """
         collector = StatsCollector(top_k=top_k_stats)
         direct = self._load_side(
-            _group_direct(graph),
-            self.schema.dph,
-            self.schema.ds,
-            self.direct_mapper,
-            self.schema.direct_columns,
-            self.direct_lids,
-            batch_size,
-            self.bulk_direct_preds,
-            collector.direct_entity,
+            _group_direct(graph), self._side(True), batch_size, collector.direct_entity
         )
         reverse = self._load_side(
-            _group_reverse(graph),
-            self.schema.rph,
-            self.schema.rs,
-            self.reverse_mapper,
-            self.schema.reverse_columns,
-            self.reverse_lids,
-            batch_size,
-            self.bulk_reverse_preds,
+            _group_reverse(graph), self._side(False), batch_size,
             collector.reverse_entity,
         )
         return LoadReport(
@@ -234,24 +232,18 @@ class Loader:
     def _load_side(
         self,
         grouped_entities: Iterable[tuple[str, dict[str, list[str]]]],
-        primary_table: str,
-        secondary_table: str,
-        mapper: PredicateMapper,
-        width: int,
-        lids: _LidAllocator,
+        side: tuple,
         batch_size: int,
-        seen_predicates: set[str] | None = None,
-        profile=None,
+        profile,
     ) -> SideMetadata:
+        primary_table, secondary_table, mapper, width, lids, seen, _ = side
         meta = SideMetadata()
         primary_batch: list[list] = []
         secondary_batch: list[tuple[str, str]] = []
         for entry, grouped in grouped_entities:
             meta.entities += 1
-            if seen_predicates is not None:
-                seen_predicates.update(grouped)
-            if profile is not None:
-                profile(entry, {p: len(vs) for p, vs in grouped.items()})
+            seen.update(grouped)
+            profile(entry, {p: len(vs) for p, vs in grouped.items()})
             pred_values: dict[str, str] = {}
             for predicate, values in grouped.items():
                 if len(values) > 1:
@@ -280,21 +272,6 @@ class Loader:
 
     # ---------------------------------------------------------- incremental
 
-    @contextmanager
-    def _all_or_nothing(self) -> Iterator[None]:
-        """Run one incremental write whole or not at all: when it raises,
-        replay the inverses its statements recorded, newest first, so the
-        tables are as they were — what sqlite's ROLLBACK would also give
-        and minirel's write bracket alone would not."""
-        self._undo = []
-        try:
-            yield
-        except BaseException:
-            undo, self._undo = self._undo, []  # inverses record their own
-            for inverse in reversed(undo):
-                inverse()
-            raise
-
     def insert_triple(self, triple: Triple) -> tuple[bool, SideMetadata, SideMetadata]:
         """Insert one triple incrementally; returns ``(inserted, direct
         metadata delta, reverse metadata delta)``.
@@ -307,55 +284,23 @@ class Loader:
 
         direct_delta = SideMetadata()
         reverse_delta = SideMetadata()
-        with self._all_or_nothing():
-            inserted = self._insert_one_side(
-                self.schema.dph,
-                self.schema.ds,
-                self.direct_mapper,
-                self.schema.direct_columns,
-                self.direct_lids,
-                DIRECT_LID_PREFIX,
-                subject_key,
-                predicate,
-                object_key,
-                direct_delta,
-                self.bulk_direct_preds,
-                self.online_direct,
+        inserted = self._insert_one_side(
+            self._side(True), subject_key, predicate, object_key, direct_delta
+        )
+        if inserted:
+            # The direct side is authoritative for duplicate detection; a
+            # duplicate never reaches the reverse tables.
+            self._insert_one_side(
+                self._side(False), object_key, predicate, subject_key, reverse_delta
             )
-            if inserted:
-                # The direct side is authoritative for duplicate detection; a
-                # duplicate never reaches the reverse tables.
-                self._insert_one_side(
-                    self.schema.rph,
-                    self.schema.rs,
-                    self.reverse_mapper,
-                    self.schema.reverse_columns,
-                    self.reverse_lids,
-                    REVERSE_LID_PREFIX,
-                    object_key,
-                    predicate,
-                    subject_key,
-                    reverse_delta,
-                    self.bulk_reverse_preds,
-                    self.online_reverse,
-                )
         return inserted, direct_delta, reverse_delta
 
     def _insert_one_side(
-        self,
-        primary_table: str,
-        secondary_table: str,
-        mapper: PredicateMapper,
-        width: int,
-        lids: _LidAllocator,
-        lid_prefix: str,
-        entry: str,
-        predicate: str,
-        value: str,
+        self, side: tuple, entry: str, predicate: str, value: str,
         delta: SideMetadata,
-        bulk_seen: set[str],
-        online: dict[str, int],
     ) -> bool:
+        primary_table, secondary_table, mapper, width, lids, bulk_seen, online = side
+        lid_prefix = lids.prefix
         rows = self._fetch_entity_rows(primary_table, entry, width)
         candidates = [c for c in mapper.columns_for(predicate) if c < width]
         if not candidates:
@@ -373,7 +318,6 @@ class Loader:
             if predicate not in bulk_seen and predicate not in online:
                 online[predicate] = column
                 delta.online_assignments[predicate] = column
-                self._undo.append(partial(online.pop, predicate))
 
         # Case 1: predicate already present on some row.
         for row in rows:
@@ -387,11 +331,11 @@ class Loader:
                             secondary_table, existing, value
                         ):
                             return False  # already in the multi-valued set
-                        self._add_secondary(secondary_table, [(existing, value)])
+                        self.backend.insert_many(secondary_table, [(existing, value)])
                         return True
                     # Upgrade a single value to a multi-valued lid.
                     lid = lids.allocate()
-                    self._add_secondary(
+                    self.backend.insert_many(
                         secondary_table, [(lid, existing), (lid, value)]
                     )
                     self._update_cell(primary_table, row, column, predicate, lid)
@@ -410,21 +354,20 @@ class Loader:
 
         # Case 3: no free candidate anywhere; create a (spill) row.
         target = candidates[0]
-        new_row = {
-            "entry": entry,
-            "spill": 1 if rows else 0,
-            "preds": [predicate if c == target else None for c in range(width)],
-            "vals": [value if c == target else None for c in range(width)],
-        }
         record_assignment(target)
         if rows:
             # Existing rows must be flagged as spilled too.
-            self._set_spill(primary_table, entry, 1, rows[0]["spill"])
+            match = ast.BinOp("=", ast.Column(None, ENTRY), ast.Const(entry))
+            self.backend.execute(
+                ast.Update(primary_table, ((SPILL, ast.Const(1)),), match)
+            )
             delta.spill_rows += 1
             delta.spill_predicates.add(predicate)
         else:
             delta.entities += 1
-        self._insert_row(primary_table, new_row)
+        cells: list = [None] * (2 * width)
+        cells[2 * target:2 * target + 2] = predicate, value
+        self.backend.insert_many(primary_table, [[entry, 1 if rows else 0, *cells]])
         delta.rows += 1
         return True
 
@@ -441,41 +384,18 @@ class Loader:
         subject_key = term_key(triple.subject)
         predicate = triple.predicate.value
         object_key = term_key(triple.object)
-        with self._all_or_nothing():
-            existed = self._delete_one_side(
-                self.schema.dph,
-                self.schema.ds,
-                self.direct_mapper,
-                self.schema.direct_columns,
-                DIRECT_LID_PREFIX,
-                subject_key,
-                predicate,
-                object_key,
-            )
-            if existed:
-                self._delete_one_side(
-                    self.schema.rph,
-                    self.schema.rs,
-                    self.reverse_mapper,
-                    self.schema.reverse_columns,
-                    REVERSE_LID_PREFIX,
-                    object_key,
-                    predicate,
-                    subject_key,
-                )
+        existed = self._delete_one_side(
+            self._side(True), subject_key, predicate, object_key
+        )
+        if existed:
+            self._delete_one_side(self._side(False), object_key, predicate, subject_key)
         return existed
 
     def _delete_one_side(
-        self,
-        primary_table: str,
-        secondary_table: str,
-        mapper: PredicateMapper,
-        width: int,
-        lid_prefix: str,
-        entry: str,
-        predicate: str,
-        value: str,
+        self, side: tuple, entry: str, predicate: str, value: str
     ) -> bool:
+        primary_table, secondary_table, mapper, width, lids, _, _ = side
+        lid_prefix = lids.prefix
         rows = self._fetch_entity_rows(primary_table, entry, width)
         candidates = [c for c in mapper.columns_for(predicate) if c < width]
         for row in rows:
@@ -519,7 +439,7 @@ class Loader:
 
     def _drop_row_if_empty(self, primary_table: str, row: dict) -> None:
         if all(pred is None for pred in row["preds"]):
-            self._delete_row(primary_table, row)
+            self.backend.execute(ast.Delete(primary_table, _row_match(row)))
 
     def _fetch_entity_rows(
         self, primary_table: str, entry: str, width: int
@@ -559,8 +479,7 @@ class Loader:
         _, rows = self.backend.execute(query)
         return bool(rows)
 
-    # Every incremental write statement goes through a helper below, which
-    # records the statement's inverse for _all_or_nothing.
+    # ---------------------------------------------------- write statements
 
     def _update_cell(
         self,
@@ -571,7 +490,6 @@ class Loader:
         value: str | None,
     ) -> None:
         """Update one pred/val cell of a specific entity row."""
-        old = row["preds"][column], row["vals"][column]
         self.backend.execute(
             ast.Update(
                 primary_table,
@@ -584,33 +502,11 @@ class Loader:
         )
         row["preds"][column] = predicate
         row["vals"][column] = value
-        self._undo.append(partial(self._update_cell, primary_table, row, column, *old))
-
-    def _insert_row(self, primary_table: str, row: dict) -> None:
-        cells = chain.from_iterable(zip(row["preds"], row["vals"]))
-        self.backend.insert_many(primary_table, [[row["entry"], row["spill"], *cells]])
-        self._undo.append(partial(self._delete_row, primary_table, row))
-
-    def _delete_row(self, primary_table: str, row: dict) -> None:
-        self.backend.execute(ast.Delete(primary_table, _row_match(row)))
-        self._undo.append(partial(self._insert_row, primary_table, row))
-
-    def _set_spill(self, table: str, entry: str, flag: int, was: int) -> None:
-        """Set the spill flag on every row of ``entry`` (all were ``was``)."""
-        match = ast.BinOp("=", ast.Column(None, ENTRY), ast.Const(entry))
-        self.backend.execute(ast.Update(table, ((SPILL, ast.Const(flag)),), match))
-        self._undo.append(partial(self._set_spill, table, entry, was, flag))
-
-    def _add_secondary(self, table: str, pairs: list[tuple[str, str]]) -> None:
-        self.backend.insert_many(table, pairs)
-        for lid, value in pairs:
-            self._undo.append(partial(self._remove_secondary, table, lid, value))
 
     def _remove_secondary(self, table: str, lid: str, value: str) -> None:
         lid_is = ast.BinOp("=", ast.Column(None, "l_id"), ast.Const(lid))
         elm_is = ast.BinOp("=", ast.Column(None, "elm"), ast.Const(value))
         self.backend.execute(ast.Delete(table, ast.BinOp("AND", lid_is, elm_is)))
-        self._undo.append(partial(self._add_secondary, table, [(lid, value)]))
 
 
 def _row_match(row: dict) -> ast.Expr:

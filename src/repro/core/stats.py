@@ -26,7 +26,7 @@ cached plans compiled under older epochs are invalidated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 
 from ..rdf.graph import Graph
@@ -103,6 +103,9 @@ class MinHashSketch:
 
     def copy(self) -> "MinHashSketch":
         return MinHashSketch(self.mins)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MinHashSketch) and self.mins == other.mins
 
 
 def intersection_estimate(
@@ -190,6 +193,22 @@ class DatasetStatistics:
     #: the plan cache records the epoch each plan was compiled under and
     #: invalidates entries whose epoch no longer matches.
     epoch: int = 0
+
+    def copy(self) -> "DatasetStatistics":
+        """A copy sharing nothing that :meth:`record_triple` or
+        :meth:`unrecord_triple` mutate (the store's rollback image)."""
+        predicates = {
+            name: replace(stat, subjects=stat.subjects.copy(),
+                          objects=stat.objects.copy())
+            for name, stat in self.predicates.items()
+        }
+        return replace(
+            self, top_subjects=dict(self.top_subjects),
+            top_objects=dict(self.top_objects),
+            predicate_counts=dict(self.predicate_counts), predicates=predicates,
+            subject_sketch=self.subject_sketch.copy(),
+            object_sketch=self.object_sketch.copy(),
+        )
 
     def bump_epoch(self) -> int:
         """Mark a data change that may shift cardinalities; returns the new

@@ -105,6 +105,8 @@ class RdfStore:
         self._writer_lock = threading.Lock()
         self._writer_thread: int | None = None
         self._write_depth = 0
+        #: copies of the side state, taken when the outermost bracket opened
+        self._side_state: tuple = ()
         #: optional scheduling/observability hook points (None = no cost)
         self.hooks: StoreHooks | None = None
         if wal_path is not None:
@@ -170,7 +172,8 @@ class RdfStore:
 
         Re-entrant per thread: a bulk load inside an open transaction nests
         and the outermost exit publishes. The backend's write bracket opens
-        exactly once, at the outermost entry.
+        exactly once, at the outermost entry, which also copies the side
+        state the store and loader keep beside the tables.
         """
         ident = threading.get_ident()
         if self._writer_thread == ident:
@@ -180,10 +183,20 @@ class RdfStore:
         self._writer_thread = ident
         self._write_depth = 1
         self.backend.begin_write()
+        loader = self.loader
+        self._side_state = (
+            self.direct_meta.copy(), self.reverse_meta.copy(), self.stats.copy(),
+            loader.online_direct.copy(), loader.online_reverse.copy(),
+            loader.bulk_direct_preds.copy(), loader.bulk_reverse_preds.copy(),
+            loader.direct_lids.next_id, loader.reverse_lids.next_id,
+        )
 
     def _end_write(self, publish: bool) -> None:
-        """Leave the writer bracket; the outermost exit publishes (or
-        aborts) the backend bracket and releases the lock."""
+        """Leave the writer bracket; the outermost exit publishes or aborts
+        the backend bracket and releases the lock.
+
+        Aborting is the one rollback: the backend restores its data and the
+        side state goes back to the copies taken at :meth:`_begin_write`."""
         self._write_depth -= 1
         if self._write_depth:
             return
@@ -192,7 +205,16 @@ class RdfStore:
                 self.backend.commit_write()
             else:
                 self.backend.abort_write()
+                loader = self.loader
+                (
+                    self.direct_meta, self.reverse_meta, self.stats,
+                    loader.online_direct, loader.online_reverse,
+                    loader.bulk_direct_preds, loader.bulk_reverse_preds,
+                    loader.direct_lids.next_id, loader.reverse_lids.next_id,
+                ) = self._side_state
+                self._engine = None
         finally:
+            self._side_state = ()
             self._writer_thread = None
             self._writer_lock.release()
 
@@ -232,6 +254,8 @@ class RdfStore:
         appending load they are *merged* into the existing statistics (the
         old behaviour replaced them, silently forgetting the first batch),
         and the epoch bump invalidates plans costed under the old numbers.
+        A load that raises aborts its bracket and leaves the store as it
+        was; inside an open transaction it marks that transaction failed.
         """
         self._begin_write()
         try:
@@ -239,17 +263,15 @@ class RdfStore:
             self.direct_meta.merge(report.direct)
             self.reverse_meta.merge(report.reverse)
             fresh = report.stats
-            if fresh is None:  # pragma: no cover - loader always collects
-                fresh = DatasetStatistics.from_graph(graph, top_k=top_k_stats)
             if self.stats.total_triples or self.stats.predicate_counts:
                 fresh = self.stats.merged_with(fresh)
             fresh.epoch = self.stats.epoch + 1  # bulk load invalidates plans
             self.stats = fresh
             self._engine = None
         except BaseException:
-            # Bulk load is not atomic (never was): keep whatever landed,
-            # the bracket exists for writer mutual exclusion only.
-            self._end_write(publish=True)
+            if self._txn is not None:  # nested in this thread's transaction
+                self._txn.state = "failed"
+            self._end_write(publish=False)
             raise
         self._end_write(publish=True)
         return report
@@ -295,9 +317,6 @@ class RdfStore:
                 "a transaction is already open on this store"
             )
         self._begin_write()
-        if self._txn is not None:  # pragma: no cover - defensive
-            self._end_write(publish=False)
-            raise TransactionError("a transaction is already open on this store")
         txn = Transaction(self)
         self._txn = txn
         if self.hooks is not None:
@@ -368,6 +387,9 @@ class RdfStore:
         dropped during recovery are logged by the journal itself and
         surfaced as ``wal_records_dropped`` in :meth:`report`.
 
+        A replay that raises leaves the store as it was before the call,
+        with no journal attached.
+
         Returns the number of replayed operations."""
         if self._txn is not None:
             raise TransactionError("cannot attach a journal mid-transaction")
@@ -397,11 +419,11 @@ class RdfStore:
                     else:
                         self._apply_remove(triple)
                     replayed += 1
-        finally:
-            # Publish even on a partial replay: recovery keeps whatever
-            # records were intact (the journal truncated any tolerated
-            # damage during its own open, with a logged warning).
-            self._end_write(publish=True)
+        except BaseException:
+            self._end_write(publish=False)
+            wal.close()
+            raise
+        self._end_write(publish=True)
         if replayed:
             self.stats.bump_epoch()
             self._engine = None
@@ -495,12 +517,6 @@ class RdfStore:
             )
         return self._wal
 
-    # Raw single-triple writes: no transaction, no epoch bump. These are the
-    # primitives Transaction (and WAL replay) build on; everything public
-    # goes through a transaction. One that raises changes nothing: the
-    # loader undoes its partial write, and stats and side metadata are only
-    # touched after it returns.
-
     def _apply_add(self, triple: Triple) -> bool:
         inserted, direct_delta, reverse_delta = self.loader.insert_triple(triple)
         if not inserted:
@@ -535,7 +551,12 @@ class RdfStore:
 
     @property
     def engine(self) -> SparqlEngine:
-        if self._engine is None:
+        # Inside its own open bracket the writer sees metadata that no epoch
+        # covers yet, so its queries neither probe nor fill the shared plan
+        # cache: they compile through a disabled private one.
+        private = self._writer_thread == threading.get_ident()
+        engine = self._engine
+        if engine is None or (engine.cache is not self._plan_cache) != private:
             info = StorageInfo(
                 schema=self.schema,
                 direct_mapper=self.direct_mapper,
@@ -543,16 +564,16 @@ class RdfStore:
                 multivalued_direct=self.direct_meta.multivalued,
                 multivalued_reverse=self.reverse_meta.multivalued,
             )
-            self._engine = SparqlEngine(
+            engine = self._engine = SparqlEngine(
                 backend=self.backend,
                 emitter=Db2RdfEmitter(info),
                 stats=self.stats,
                 spill_direct=frozenset(self.direct_meta.spill_predicates),
                 spill_reverse=frozenset(self.reverse_meta.spill_predicates),
                 config=self.config,
-                cache=self._plan_cache,
+                cache=QueryCache(0) if private else self._plan_cache,
             )
-        return self._engine
+        return engine
 
     def query(
         self,

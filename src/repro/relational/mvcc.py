@@ -1,8 +1,8 @@
-"""Multi-version concurrency control for the minirel substrate.
+"""Multi-version concurrency control and write brackets for minirel.
 
-The paper assumes the relational back-end provides snapshot reads; DB2
-gives them for free, minirel has to earn them. The design trades write-path
-generality for a zero-cost read path:
+The paper assumes the relational back-end provides snapshot reads and
+ROLLBACK; DB2 gives them for free, minirel has to earn them. The design
+trades write-path generality for a zero-cost read path:
 
 * Row versions live in two side dicts per table — ``born[row_id]`` and
   ``died[row_id]`` — populated **only while a snapshot is pinned**. With no
@@ -16,6 +16,12 @@ generality for a zero-cost read path:
   bracket decides at :meth:`MvccController.begin` whether it must retain
   old versions, and garbage-collects retained versions as soon as the last
   pin drains.
+* :meth:`MvccController.abort` is minirel's ROLLBACK. Each table marks its
+  row count at ``begin`` and logs the before-image of every physical
+  delete or in-place update; abort replays the before-images, revives
+  rows that died at the write version and truncates past the mark
+  (:meth:`Table.rollback_bracket`). Its cost is the rows the bracket
+  touched, and it issues no statements.
 
 Snapshot acquisition happens under the same writer lock, so the pin set
 cannot change in the middle of a bracket — the retention decision made at
@@ -65,18 +71,25 @@ class MvccController:
         self.tag_writes = pinned
         if not pinned:
             self._collect(self.version)
+        for table in self._tables:
+            table.open_bracket()
 
     def publish(self) -> None:
         """Commit the bracket: writes become the latest version."""
         self.version = self.write_version
         self.tag_writes = False
+        for table in self._tables:
+            table.close_bracket()
         with self._lock:
             pinned = bool(self._pins)
         if not pinned:
             self._collect(self.version)
 
     def abort(self) -> None:
-        """Close the bracket without publishing (undo already replayed)."""
+        """Close the bracket without publishing: every table returns to
+        its state at :meth:`begin`."""
+        for table in self._tables:
+            table.rollback_bracket(self.write_version)
         self.write_version = self.version
         self.tag_writes = False
 

@@ -1,4 +1,5 @@
-"""Heap tables: schema, row storage, and insert/delete maintenance."""
+"""Heap tables: schema, row storage, insert/delete maintenance, and the
+write-bracket log that makes an aborted bracket leave no trace."""
 
 from __future__ import annotations
 
@@ -38,16 +39,22 @@ class TableSchema:
 class Table:
     """A heap table: a schema plus a list of row tuples.
 
-    Deleted rows are tombstoned (set to ``None``) so that row ids held by
-    indexes stay stable; :meth:`compact` rebuilds storage when fragmentation
-    grows. Indexes attach via :meth:`register_index` and are maintained by
-    insert/delete.
+    Deleted rows are tombstoned (set to ``None``) and row ids are never
+    reused, so ids held by indexes stay stable. Indexes attach via
+    :meth:`register_index` and are maintained by insert/delete.
 
     When the owning database has pinned snapshots (``_mvcc.tag_writes``),
     deletes become logical — ``died[row_id]`` records the write version and
     the row stays physically present for snapshot readers — and inserts
     record ``born[row_id]``. Both dicts stay empty with no snapshots open,
     so the unversioned scan path is unchanged.
+
+    Inside a write bracket (:meth:`open_bracket`) the table remembers its
+    row count, and every physical delete or in-place update appends the
+    row's before-image to ``_before``. :meth:`rollback_bracket` undoes the
+    bracket from those: appends are truncated at the mark, before-images
+    are put back, and logical deletes at the write version are revived.
+    Inserts log nothing, so a bulk load pays nothing per row.
     """
 
     def __init__(self, schema: TableSchema) -> None:
@@ -65,6 +72,11 @@ class Table:
         self._column_ops: list[Any] = [t.coerce for t in schema.column_types]
         #: count of physical tombstones (None slots) in ``rows``
         self.tombstones = 0
+        #: (row count, live_count, tombstones) when the bracket opened
+        self._mark = (0, 0, 0)
+        #: before-images ``(row_id, row)`` of the open bracket's physical
+        #: deletes and in-place updates; None outside a bracket
+        self._before: list[tuple[int, tuple]] | None = None
 
     def set_dictionary(self, dictionary: StringDictionary) -> None:
         """Intern TEXT values of this table through ``dictionary``."""
@@ -162,6 +174,8 @@ class Table:
             self.died[row_id] = mvcc.write_version
             self.live_count -= 1
             return
+        if self._before is not None:
+            self._before.append((row_id, row))
         for index in self._indexes:
             index.delete(row_id, row)
         self.rows[row_id] = None
@@ -185,14 +199,13 @@ class Table:
             for index in self._indexes:
                 index.insert(new_id, new)
             return
+        if self._before is not None:
+            self._before.append((row_id, old))
         for index in self._indexes:
             index.delete(row_id, old)
         self.rows[row_id] = new
         for index in self._indexes:
             index.insert(row_id, new)
-
-    def get(self, row_id: int) -> tuple | None:
-        return self.rows[row_id]
 
     def scan(self) -> Iterator[tuple]:
         """Yield all live rows (the latest state, pending writes included)."""
@@ -278,24 +291,48 @@ class Table:
             for row_id in [r for r, v in self.born.items() if v <= horizon]:
                 del self.born[row_id]
 
-    def compact(self) -> None:
-        """Drop tombstones and rebuild all indexes.
+    # ------------------------------------------------------ write brackets
 
-        Unsafe while snapshots are pinned (row ids shift); callers compact
-        only from quiesced maintenance paths.
+    def open_bracket(self) -> None:
+        """Start logging: remember the row count and counters."""
+        self._mark = (len(self.rows), self.live_count, self.tombstones)
+        self._before = []
+
+    def close_bracket(self) -> None:
+        """Keep the bracket's writes and drop its log."""
+        self._before = None
+
+    def rollback_bracket(self, write_version: int) -> None:
+        """Put the table back as it was at :meth:`open_bracket`.
+
+        Before-images are replayed newest first, then rows that died at
+        ``write_version`` are revived and every row appended since the mark
+        is dropped with its index and version entries. The cost follows the
+        rows the bracket touched, plus any versions retained for snapshots.
         """
-        live = [
-            row
-            for row_id, row in enumerate(self.rows)
-            if row is not None and row_id not in self.died
-        ]
-        self.rows = live
-        self.born.clear()
-        self.died.clear()
-        self.tombstones = 0
-        self.live_count = len(self.rows)
-        for index in self._indexes:
-            index.build(self)
+        if self._before is None:
+            return
+        rows, indexes = self.rows, self._indexes
+        for row_id, old in reversed(self._before):
+            current = rows[row_id]
+            if current is not None:
+                for index in indexes:
+                    index.delete(row_id, current)
+            rows[row_id] = old
+            for index in indexes:
+                index.insert(row_id, old)
+        died, born = self.died, self.born
+        for row_id in [r for r, v in died.items() if v == write_version]:
+            del died[row_id]
+        mark, self.live_count, self.tombstones = self._mark
+        for row_id in range(mark, len(rows)):
+            row = rows[row_id]
+            if row is not None:
+                for index in indexes:
+                    index.delete(row_id, row)
+            born.pop(row_id, None)
+        del rows[mark:]
+        self._before = None
 
     def __len__(self) -> int:
         return self.live_count

@@ -1,13 +1,18 @@
-"""Atomic write batches with an undo log and group commit.
+"""Atomic write batches with group commit.
 
 The transaction applies writes to the store *eagerly* — each ``add`` /
 ``remove`` lands in the DPH/DS/RPH/RS tables immediately, so WHERE
 clauses of later operations in the same request see earlier effects —
-while recording an undo entry per effective change. ``rollback`` replays
-the undo log in reverse; ``commit`` journals the net delta to the WAL (if
-one is attached) and bumps the statistics epoch exactly once, which is
-what lets cached query plans stay warm across a thousand-triple batch
-instead of being invalidated a thousand times.
+inside the store's writer bracket. ``rollback`` aborts that bracket: the
+backend restores its data (sqlite's ``ROLLBACK``, minirel's bracket log)
+and the store restores its side metadata, so the transaction keeps no
+undo log of its own. ``commit`` journals the net delta to the WAL (if one
+is attached) and bumps the statistics epoch exactly once, which is what
+lets cached query plans stay warm across a thousand-triple batch instead
+of being invalidated a thousand times.
+
+A write that raises may have landed in part, so it marks the transaction
+``failed``: from then on only :meth:`Transaction.rollback` is allowed.
 
 A transaction that changed nothing commits without bumping the epoch at
 all: failed deletes and duplicate inserts keep the plan cache warm.
@@ -16,7 +21,7 @@ all: failed deletes and duplicate inserts keep the plan cache warm.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..rdf.terms import Triple, term_key
 from ..sparql.ast import SelectQuery
@@ -48,9 +53,7 @@ class Transaction:
 
     def __init__(self, store: "RdfStore") -> None:
         self.store = store
-        self.state = "open"  # open | committed | rolled-back
-        #: inverse operations, applied in reverse on rollback
-        self._undo: list[tuple[str, Triple]] = []
+        self.state = "open"  # open | failed | committed | rolled-back
         #: the net journal record, in apply order
         self._ops: list[WalOp] = []
 
@@ -62,21 +65,24 @@ class Transaction:
 
     def add(self, triple: Triple) -> bool:
         """Insert ``triple``; returns False for a duplicate no-op."""
-        self._check_open()
-        if not self.store._apply_add(triple):
-            return False
-        self._undo.append(("remove", triple))
-        self._ops.append(("+", *_keys(triple)))
-        return True
+        return self._write("+", self.store._apply_add, triple)
 
     def remove(self, triple: Triple) -> bool:
         """Delete ``triple``; returns False when it was absent."""
+        return self._write("-", self.store._apply_remove, triple)
+
+    def _write(
+        self, tag: str, apply: Callable[[Triple], bool], triple: Triple
+    ) -> bool:
         self._check_open()
-        if not self.store._apply_remove(triple):
-            return False
-        self._undo.append(("add", triple))
-        self._ops.append(("-", *_keys(triple)))
-        return True
+        try:
+            changed = apply(triple)
+        except BaseException:
+            self.state = "failed"  # partly landed: only rollback undoes it
+            raise
+        if changed:
+            self._ops.append((tag, *_keys(triple)))
+        return changed
 
     def select(self, query: SelectQuery) -> SelectResult:
         """Evaluate a WHERE clause against the in-transaction state."""
@@ -99,8 +105,8 @@ class Transaction:
         A *survivable* journal failure (:class:`WalError` — disk full, I/O
         error) is a different matter from a crash: the process lives on,
         so memory and journal must not diverge. The journal truncates its
-        partial record, this method unwinds the in-memory effects via the
-        undo log, and the error propagates — the commit never happened."""
+        partial record, the writer bracket aborts, and the error
+        propagates — the commit never happened."""
         self._check_open()
         self.state = "committed"
         self.store._txn = None
@@ -115,8 +121,7 @@ class Transaction:
                     try:
                         wal.append(self._ops)
                     except WalError:
-                        self.state = "failed"
-                        self._unwind()
+                        self.state = "rolled-back"
                         raise
                 self.store.stats.bump_epoch()
                 self.store._engine = None
@@ -145,28 +150,21 @@ class Transaction:
             hooks.fire("commit.publish.after", ops=len(self._ops))
 
     def rollback(self) -> None:
-        """Undo every effective write of this transaction, newest first.
+        """Abort the writer bracket: the store returns to its state when
+        the transaction opened.
 
         The epoch is *not* bumped: a rolled-back transaction never
         happened, so plans cached before it remain exactly as valid."""
-        self._check_open()
+        if self.state != "failed":
+            self._check_open()
         self.state = "rolled-back"
         self.store._txn = None
         try:
-            self._unwind()
-        finally:
             hooks = self.store.hooks
             if hooks is not None:
                 hooks.fire("rollback", ops=len(self._ops))
+        finally:
             self.store._end_write(publish=False)
-
-    def _unwind(self) -> None:
-        """Reverse every effective write of this batch, newest first."""
-        for action, triple in reversed(self._undo):
-            if action == "add":
-                self.store._apply_add(triple)
-            else:
-                self.store._apply_remove(triple)
 
     # ----------------------------------------------------- context manager
 
@@ -174,12 +172,13 @@ class Transaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.state != "open":
-            return  # committed/rolled back manually inside the block
-        if exc_type is None:
+        if self.state == "open" and exc_type is None:
             self.commit()
-        else:
+        elif self.state in ("open", "failed"):
+            failed = self.state == "failed"
             self.rollback()
+            if failed and exc_type is None:  # the failure was swallowed
+                raise TransactionError("a write failed; transaction rolled back")
 
 
 def _keys(triple: Triple) -> tuple[str, str, str]:

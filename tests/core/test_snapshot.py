@@ -84,6 +84,29 @@ def test_rollback_of_effective_writes_after_snapshot(store):
         snap.close()
 
 
+def test_rollback_under_a_pinned_snapshot(store):
+    """Deletes and in-place updates rolled back while a snapshot is pinned:
+    the snapshot's answers never move, the latest state is the pre-state,
+    and minirel keeps no row versions once the snapshot closes."""
+    before = store.query(EVERYTHING).canonical()
+    snap = store.snapshot()
+    try:
+        with pytest.raises(RuntimeError, match="boom"):
+            with store.transaction():
+                store.update(DELETE)  # demotes a lid: updates and deletes
+                store.update("DELETE DATA { <Android> <kernel> <Linux> }")
+                store.update("INSERT DATA { <Larry_Page> <founder> <IBM> }")
+                assert snap.query(EVERYTHING).canonical() == before
+                raise RuntimeError("boom")
+        assert snap.query(EVERYTHING).canonical() == before
+        assert store.query(EVERYTHING).canonical() == before
+    finally:
+        snap.close()
+    if store.backend.name == "minirel":
+        tables = store.backend.db.tables.values()
+        assert sum(len(t.born) + len(t.died) for t in tables) == 0
+
+
 def test_two_snapshots_pin_two_states(store):
     older = store.snapshot()
     store.update(INSERT)

@@ -48,15 +48,6 @@ class TestTable:
         table.update_row(rid, ("z", 9))
         assert list(table.scan()) == [("z", 9)]
 
-    def test_compact(self):
-        table = make_table()
-        rids = [table.insert((str(i), i)) for i in range(10)]
-        for rid in rids[::2]:
-            table.delete_row(rid)
-        table.compact()
-        assert len(table.rows) == 5
-        assert len(table) == 5
-
     def test_duplicate_column_rejected(self):
         with pytest.raises(CatalogError):
             TableSchema("t", [("a", ColumnType.TEXT), ("A", ColumnType.TEXT)])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from repro import MiniRelBackend, RdfStore, SqliteBackend, Triple, URI
+from repro import Graph, MiniRelBackend, RdfStore, SqliteBackend, Triple, URI
 from repro.core.resilience import (
     ChaosBackend,
     Fault,
@@ -42,8 +44,10 @@ class TestCommit:
         assert store.stats.epoch == epoch + 1
 
     def test_cached_plans_survive_until_commit(self, fig1_graph):
-        """The satellite regression: queries inside an open batch keep
-        hitting the warm plan cache; commit invalidates exactly once."""
+        """The cached plan outlives the open batch and commit invalidates
+        it exactly once. Queries inside the batch bypass the shared cache
+        (they see metadata no epoch covers yet), so they neither hit nor
+        replace it."""
         store = RdfStore.from_graph(fig1_graph)
         store.query(QUERY)  # prime (1 miss)
         with store.transaction() as txn:
@@ -51,7 +55,7 @@ class TestCommit:
                 txn.add(t(f"f{i}", "founder", f"Co{i}"))
                 store.query(QUERY)
         info = store.cache_info()
-        assert info.hits == 20
+        assert (info.hits, info.misses, info.size) == (0, 1, 1)
         assert info.invalidations == 0
         store.query(QUERY)  # first post-commit run recompiles
         info = store.cache_info()
@@ -70,6 +74,18 @@ class TestCommit:
                 store.query(QUERY)
         info = store.cache_info()
         assert (info.hits, info.invalidations) == (0, 3)
+
+    @pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
+    def test_in_batch_query_never_reuses_a_stale_plan(self, backend_factory):
+        """A plan cached while <founder> was single-valued must not answer
+        after an in-batch write made it multi-valued (it would return the
+        internal lid instead of the two objects)."""
+        store = RdfStore.from_graph(figure1_graph(), backend=backend_factory())
+        text = "SELECT ?o WHERE { <Larry_Page> <founder> ?o }"
+        assert store.query(text).key_rows() == [("Google",)]
+        with store.transaction() as txn:
+            txn.add(t("Larry_Page", "founder", "Software"))
+            assert store.query(text).canonical() == [("Google",), ("Software",)]
 
     def test_queries_see_uncommitted_writes(self, fig1_graph):
         store = RdfStore.from_graph(fig1_graph)
@@ -177,10 +193,30 @@ class TestUsageErrors:
 
 # ------------------------------------------------------ failed writes
 
+def _bulk_load(store) -> None:
+    """Append a small graph with multi-valued cells on both sides."""
+    store.load_graph(Graph([
+        t("Ada", "founder", "Engines"),
+        t("Ada", "founder", "Lovelace_Co"),
+        t("Grace", "founder", "Engines"),
+        t("Ada", "born", "1815"),
+    ]))
+
+
+def _batch(store) -> None:
+    """Three writes in one transaction: an upgrade that makes <founder>
+    multi-valued, a novel predicate that takes an online column, and a
+    demote. A fault in any of them rolls the whole batch back."""
+    with store.transaction() as txn:
+        txn.add(t("Larry_Page", "founder", "Software"))
+        txn.add(t("Ada", "novel", "Engines"))
+        txn.remove(t("Google", "industry", "Software"))
+
+
 #: one write per loader path: fresh entities on both sides, a spill row
 #: plus a free reverse cell, a single value upgraded to a multi-valued
 #: lid, and a delete that demotes a lid back to a single value on both
-#: sides
+#: sides; then a bulk load and a multi-write transaction
 FAILING_WRITES = {
     "add_fresh": lambda store: store.add(t("Ada", "founder", "Engines")),
     "add_spill": lambda store: store.add(t("Google", "home", "Software")),
@@ -188,6 +224,8 @@ FAILING_WRITES = {
     "delete_demote": lambda store: store.update(
         "DELETE DATA { <Google> <industry> <Software> }"
     ),
+    "bulk_load": _bulk_load,
+    "batch": _batch,
 }
 
 #: the direct side (every triple) and the reverse side (keyed by object)
@@ -207,8 +245,18 @@ def _armed_ops(write: str) -> int:
 
 
 def _state(store) -> tuple:
+    """Query answers plus every piece of side state a write can change."""
     answers = tuple(tuple(store.query(probe).canonical()) for probe in STATE_PROBES)
-    return answers, store.stats.total_triples
+    loader = store.loader
+    return answers, copy.deepcopy((
+        store.stats.total_triples,
+        store.direct_meta,
+        store.reverse_meta,
+        store.stats,
+        loader.online_direct,
+        loader.online_reverse,
+        (loader.direct_lids.next_id, loader.reverse_lids.next_id),
+    ))
 
 
 @pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
@@ -218,7 +266,8 @@ def _state(store) -> tuple:
 )
 def test_failed_write_leaves_the_pre_state(backend_factory, write, k):
     """A fault at any backend op of one write raises and leaves the store
-    exactly as before — minirel by logical undo, sqlite by ROLLBACK."""
+    exactly as before: the aborted bracket restores the data (minirel from
+    its bracket log, sqlite by ROLLBACK) and the store its side state."""
     plan = FaultPlan([Fault("any", k)])
     chaos = ChaosBackend(backend_factory(), plan)
     store = RdfStore.from_graph(figure1_graph(), backend=chaos)
@@ -229,6 +278,76 @@ def test_failed_write_leaves_the_pre_state(backend_factory, write, k):
     assert len(plan.fired) == 1
     chaos.armed = False
     assert _state(store) == before
+
+
+@pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
+def test_failed_write_allows_only_rollback(backend_factory):
+    """A write that raised may have landed in part: the transaction is
+    failed, commit and further writes are refused, and rollback restores
+    the pre-state."""
+    # op 4 is the reverse side's first read: the direct side has landed
+    chaos = ChaosBackend(backend_factory(), FaultPlan([Fault("any", 4)]))
+    store = RdfStore.from_graph(figure1_graph(), backend=chaos)
+    before = _state(store)
+    txn = store.transaction()
+    assert txn.add(t("Ada", "founder", "Engines"))
+    chaos.arm()
+    with pytest.raises(TransientFaultError):
+        txn.add(t("Larry_Page", "founder", "Software"))
+    chaos.armed = False
+    assert txn.state == "failed"
+    with pytest.raises(TransactionError):
+        txn.commit()
+    with pytest.raises(TransactionError):
+        txn.add(t("Grace", "founder", "COBOL_Inc"))
+    txn.rollback()
+    assert _state(store) == before
+
+
+def test_rollback_issues_no_backend_ops():
+    """Rolling back is the backend bracket's abort, not replayed DML."""
+    chaos = ChaosBackend(MiniRelBackend())
+    store = RdfStore.from_graph(figure1_graph(), backend=chaos)
+    before = _state(store)
+    chaos.arm()
+    txn = store.transaction()
+    for i in range(10):
+        txn.add(t(f"n{i}", "founder", f"Co{i % 3}"))
+    counts = dict(chaos.op_counts)
+    txn.rollback()
+    assert dict(chaos.op_counts) == counts
+    chaos.armed = False
+    assert _state(store) == before
+
+
+@pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
+def test_failed_replay_leaves_the_pre_attach_state(backend_factory, tmp_path):
+    """A journal replay that raises part-way applies none of it and
+    attaches no journal; a later attach replays everything."""
+    path = tmp_path / "j.wal"
+    writer = RdfStore.from_graph(figure1_graph(), wal_path=path)
+    writer.add(t("Larry_Page", "founder", "Software"))
+    writer.add(t("Ada", "founder", "Engines"))
+    writer.wal.close()
+    probe = ChaosBackend(backend_factory())
+    replayer = RdfStore.from_graph(figure1_graph(), backend=probe)
+    probe.arm()
+    assert replayer.attach_wal(path) == 2
+    replayer.wal.close()
+    # fault the replay's last op: the first record has fully landed
+    plan = FaultPlan([Fault("any", probe.total_ops)])
+    chaos = ChaosBackend(backend_factory(), plan)
+    store = RdfStore.from_graph(figure1_graph(), backend=chaos)
+    before = _state(store)
+    chaos.arm()
+    with pytest.raises(TransientFaultError):
+        store.attach_wal(path)
+    assert len(plan.fired) == 1
+    chaos.armed = False
+    assert store.wal is None
+    assert _state(store) == before
+    assert store.attach_wal(path) == 2
+    store.wal.close()
 
 
 def test_online_assignment_for_novel_predicate():
