@@ -98,10 +98,12 @@ class Backend(abc.ABC):
         the statement reads the point-in-time state the handle pins
         instead of the latest state.
         ``tracer`` is an optional ``repro.core.observe.Tracer`` (duck-typed,
-        so backends need no dependency on the observability layer): when
-        enabled, the backend reports its work under a ``<name>.execute``
-        span — the minirel planner meters every operator, sqlite attaches
-        its ``EXPLAIN QUERY PLAN``. Rows are identical either way.
+        so backends need no dependency on the observability layer). The
+        backend reports its work under a ``<name>.execute`` span: minirel
+        meters every operator (``None`` runs the same body with the no-op
+        ``NO_TRACE``); sqlite attaches its ``EXPLAIN QUERY PLAN``, a
+        statement only a trace reads, so skipped when ``tracer`` is
+        ``None``. Rows are identical either way.
         """
 
     # ------------------------------------------------------ write brackets

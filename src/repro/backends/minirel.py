@@ -7,6 +7,7 @@ from typing import Any, Iterable, Sequence
 
 from ..relational import ast
 from ..relational.catalog import Database
+from ..relational.executor import traced
 from ..relational.types import ColumnType
 from .base import Backend
 
@@ -66,14 +67,9 @@ class MiniRelBackend(Backend):
     ) -> tuple[list[str], list[tuple]]:
         deadline = time.monotonic() + timeout if timeout is not None else None
         version = None if snapshot is None else snapshot.version
-        if tracer is None:
-            result = self.db.execute(
-                statement, deadline=deadline, budget=budget, version=version
-            )
-            return result.columns, result.rows
-        # Traced: the planner meters every operator iterator (scans, joins,
+        # The planner meters every operator iterator (scans, joins,
         # filters, set ops, CTEs) into the span.
-        with tracer.span(f"{self.name}.execute") as span:
+        with traced(tracer).span(f"{self.name}.execute") as span:
             result = self.db.execute(
                 statement,
                 deadline=deadline,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from .observe import Tracer
+from .observe import run_profiled
 from .resilience import Budget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,32 +101,19 @@ class Snapshot:
         """Evaluate a SELECT against the pinned state (same guardrail and
         PROFILE semantics as :meth:`RdfStore.query`)."""
         self._check_open()
-        budget = None
-        if (
-            timeout is not None
-            or max_rows is not None
-            or max_intermediate_rows is not None
-        ):
-            budget = Budget(
-                timeout=timeout,
-                max_rows=max_rows,
-                max_intermediate_rows=max_intermediate_rows,
-            )
-        if not profile:
-            return self._engine.query(
-                sparql, budget=budget, snapshot=self._handle, epoch=self.epoch
-            )
-        tracer = Tracer("query", sinks=self._store.profile_sinks)
-        with tracer.root:
-            result = self._engine.query(
+        budget = Budget.from_limits(timeout, max_rows, max_intermediate_rows)
+        return run_profiled(
+            lambda tracer: self._engine.query(
                 sparql,
                 tracer=tracer,
                 budget=budget,
                 snapshot=self._handle,
                 epoch=self.epoch,
-            )
-        result.profile = tracer.finish()
-        return result
+            ),
+            profile,
+            "query",
+            self._store.profile_sinks,
+        )
 
     def ask(self, sparql: str, timeout: float | None = None) -> bool:
         """Evaluate an ASK against the pinned state."""

@@ -10,23 +10,30 @@ on sqlite).
 
 Design constraints:
 
-* **Zero cost when disabled.** The engine's hot path takes ``tracer=None``
-  and never touches this module; the minirel planner wraps operator
-  iterators only when a trace span is supplied.
+* **One pipeline, traced or not.** Each entry point taking ``tracer=None``
+  swaps in the shared no-op :data:`NO_TRACE` (via :func:`traced`) and runs
+  the same body; its metering wrappers hand iterators back unwrapped, so
+  an untraced query builds no :class:`Span`.
 * **No upward imports.** The relational substrate never imports this
   module: it receives a :class:`Span` (or ``None``) and uses it through
-  duck typing (``child`` / ``inc`` / ``set`` / ``meter`` / ``count``).
+  duck typing (``child`` / ``inc`` / ``set`` / ``meter_batches`` /
+  ``count_batches``). :data:`NO_TRACE` lives there and is re-exported here.
 * **Pluggable sinks.** A sink is any callable taking the finished root
   span; :meth:`Tracer.finish` fans the tree out to every registered sink
   (log it, ship it, aggregate it — the tracer does not care).
+  :func:`run_profiled` delivers a profiled store call's trace even when
+  the call raises.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+
+from ..relational.executor import NO_TRACE, traced  # noqa: F401  (re-exported)
 
 Sink = Callable[["Span"], None]
+R = TypeVar("R")
 
 
 class Span:
@@ -75,49 +82,12 @@ class Span:
 
     # ------------------------------------------------------------ metering
 
-    def meter(self, rows: Iterable, key: str = "rows_out") -> Iterator:
-        """Wrap a row iterator: count rows into ``key`` and accumulate the
-        inclusive time spent producing them (time inside ``next()``, i.e.
-        this operator plus its inputs, excluding the consumer)."""
-        def metered() -> Iterator:
-            iterator = iter(rows)
-            produced = 0
-            elapsed = 0.0
-            try:
-                while True:
-                    started = perf_counter()
-                    try:
-                        row = next(iterator)
-                    except StopIteration:
-                        elapsed += perf_counter() - started
-                        return
-                    elapsed += perf_counter() - started
-                    produced += 1
-                    yield row
-            finally:
-                self.inc(key, produced)
-                self.seconds += elapsed
-
-        return metered()
-
-    def count(self, rows: Iterable, key: str) -> Iterator:
-        """Wrap a row iterator counting rows into ``key`` (no timing) —
-        used for operator *inputs* (rows-in)."""
-        def counted() -> Iterator:
-            produced = 0
-            try:
-                for row in rows:
-                    produced += 1
-                    yield row
-            finally:
-                self.inc(key, produced)
-
-        return counted()
-
     def meter_batches(self, chunks: Iterable, key: str = "rows_out") -> Iterator:
-        """:meth:`meter` for the vectorized executor: each item is a *chunk*
-        (list of rows); counters record logical rows, so traces are
-        batch-size independent."""
+        """Wrap a chunk iterator (each item a list of rows): count logical
+        rows into ``key`` — so traces are batch-size independent — and
+        accumulate the inclusive time spent producing them (time inside
+        ``next()``, i.e. this operator plus its inputs, excluding the
+        consumer)."""
         def metered() -> Iterator:
             iterator = iter(chunks)
             produced = 0
@@ -140,7 +110,8 @@ class Span:
         return metered()
 
     def count_batches(self, chunks: Iterable, key: str) -> Iterator:
-        """:meth:`count` over chunks — counts logical rows, no timing."""
+        """Wrap a chunk iterator counting logical rows into ``key``, no
+        timing — used for operator *inputs* (rows-in)."""
         def counted() -> Iterator:
             produced = 0
             try:
@@ -215,6 +186,28 @@ class Tracer:
         for sink in self.sinks:
             sink(self.root)
         return self.root
+
+
+def run_profiled(
+    run: Callable[[Tracer | None], R],
+    profile: bool,
+    name: str,
+    sinks: Iterable[Sink],
+) -> R:
+    """``run(None)``, or with ``profile`` ``run(tracer)`` under a fresh
+    tracer named ``name``. The trace reaches ``sinks`` even when ``run``
+    raises (the error still propagates); on success it is attached as
+    ``result.profile``."""
+    if not profile:
+        return run(None)
+    tracer = Tracer(name, sinks)
+    try:
+        with tracer.root:
+            result = run(tracer)
+    finally:
+        tracer.finish()
+    result.profile = tracer.root
+    return result
 
 
 class _OpenSpan:

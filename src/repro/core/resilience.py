@@ -121,6 +121,16 @@ class Budget:
         #: which guardrail tripped: None | "timeout" | "intermediate" | "rows"
         self.tripped: str | None = None
 
+    @classmethod
+    def from_limits(
+        cls, timeout: float | None, max_rows: int | None, max_intermediate_rows: int | None
+    ) -> "Budget | None":
+        """The budget for a query's guardrail arguments, or ``None`` when
+        none is set (the guardrails-off path pays no per-row cost)."""
+        if timeout is None and max_rows is None and max_intermediate_rows is None:
+            return None
+        return cls(timeout, max_rows, max_intermediate_rows)
+
     def trip(self, reason: str) -> None:
         """Record a trip and raise the matching typed error."""
         self.tripped = reason

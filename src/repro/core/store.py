@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import sqlfunctions  # noqa: F401  (registers RDF_* SQL functions)
@@ -36,7 +35,7 @@ from .coloring import color_graph_for_store
 from .concurrency import Snapshot, StoreHooks
 from .loader import Loader, LoadReport, SideMetadata
 from .mapping import PredicateMapper, composed_hashes
-from .observe import Sink, Span, Tracer
+from .observe import Sink, Span, Tracer, run_profiled, traced
 from .querycache import CacheInfo, QueryCache
 from .resilience import Budget
 from .schema import DB2RDFSchema
@@ -332,23 +331,21 @@ class RdfStore:
         its own. WHERE clauses compile through the regular query pipeline
         against the in-transaction state. With ``profile=True`` the parse,
         per-operation apply, and commit stages are traced and the finished
-        trace is attached as ``result.profile``."""
-        if not profile:
-            return self._run_update(sparql, None)
-        tracer = Tracer("update", sinks=self.profile_sinks)
-        with tracer.root:
-            result = self._run_update(sparql, tracer)
-        result.profile = tracer.finish()
-        return result
+        trace is attached as ``result.profile`` (and delivered to
+        :attr:`profile_sinks`, also when the update raises)."""
+        return run_profiled(
+            lambda tracer: self._run_update(sparql, tracer),
+            profile,
+            "update",
+            self.profile_sinks,
+        )
 
     def _run_update(self, sparql, tracer: Tracer | None) -> UpdateResult:
-        def stage(name: str):
-            return tracer.span(name) if tracer is not None else nullcontext()
-
+        tracer = traced(tracer)
         if isinstance(sparql, UpdateRequest):
             request = sparql
         else:
-            with stage("parse"):
+            with tracer.span("parse"):
                 request = parse_update(sparql)
         if self._txn is not None and self._writer_thread == threading.get_ident():
             return apply_update(request, self._txn, tracer=tracer)
@@ -358,7 +355,7 @@ class RdfStore:
         except BaseException:
             txn.rollback()
             raise
-        with stage("commit"):
+        with tracer.span("commit"):
             txn.commit()
         return result
 
@@ -583,8 +580,7 @@ class RdfStore:
         max_intermediate_rows: int | None = None,
         profile: bool = False,
     ) -> SelectResult:
-        """Evaluate a SPARQL SELECT query (text or a parsed/rewritten
-        query object, e.g. from :mod:`repro.sparql.inference`).
+        """Evaluate a SPARQL SELECT query (text or a parsed query object).
 
         Execution guardrails: ``timeout`` (seconds of wall clock,
         :class:`~repro.core.resilience.QueryTimeoutError` on expiry),
@@ -601,26 +597,15 @@ class RdfStore:
         rows-in/rows-out/timings from the backend — and the finished trace
         is attached as ``result.profile`` (render it with
         :func:`repro.core.observe.render_profile`) after being delivered to
-        every sink in :attr:`profile_sinks`.
+        every sink in :attr:`profile_sinks` — also when the query raises.
         """
-        budget = None
-        if (
-            timeout is not None
-            or max_rows is not None
-            or max_intermediate_rows is not None
-        ):
-            budget = Budget(
-                timeout=timeout,
-                max_rows=max_rows,
-                max_intermediate_rows=max_intermediate_rows,
-            )
-        if not profile:
-            return self.engine.query(sparql, budget=budget)
-        tracer = Tracer("query", sinks=self.profile_sinks)
-        with tracer.root:
-            result = self.engine.query(sparql, tracer=tracer, budget=budget)
-        result.profile = tracer.finish()
-        return result
+        budget = Budget.from_limits(timeout, max_rows, max_intermediate_rows)
+        return run_profiled(
+            lambda tracer: self.engine.query(sparql, tracer=tracer, budget=budget),
+            profile,
+            "query",
+            self.profile_sinks,
+        )
 
     def profile(
         self,

@@ -4,7 +4,9 @@ Public surface:
 
 * :class:`Database` — tables, indexes, ``execute()`` for SQL text or ASTs
 * :mod:`repro.relational.ast` — the SQL AST the translator targets
-* :func:`parse_sql` / :func:`render_statement` — text <-> AST
+* :func:`render_statement` — AST -> SQL text (the parser, text -> AST,
+  is :mod:`repro.relational.parser`; ``Database.execute`` loads it on
+  first use)
 """
 
 from . import ast
@@ -18,7 +20,6 @@ from .errors import (
     SqlSyntaxError,
 )
 from .index import HashIndex
-from .parser import parse_expression, parse_query, parse_sql
 from .render import render_expr, render_query, render_statement
 from .table import Table, TableSchema
 from .types import ColumnType
@@ -37,9 +38,6 @@ __all__ = [
     "Table",
     "TableSchema",
     "ast",
-    "parse_expression",
-    "parse_query",
-    "parse_sql",
     "render_expr",
     "render_query",
     "render_statement",

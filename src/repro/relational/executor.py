@@ -1,4 +1,5 @@
-"""Row-level execution pieces: guardrail ticker, aggregation, fallback join.
+"""Row-level execution pieces: guardrail ticker, the no-op trace,
+aggregation, fallback join.
 
 The chunked operators the planner composes live in :mod:`batch`; every one
 that can loop unboundedly threads a :class:`Ticker` so long queries abort
@@ -16,6 +17,41 @@ from .errors import QueryTimeout
 from .expressions import Evaluator
 
 Row = tuple
+
+
+class _NoTrace:
+    """The untraced span: ``repro.core.observe.Span``'s surface (plus an
+    untraced ``Tracer.span``) recording nothing, so every traced layer runs
+    one body with this in place of its span."""
+
+    __slots__ = ()
+
+    def child(self, name: str, **attrs: Any) -> "_NoTrace":
+        return self
+
+    span = child
+
+    def __enter__(self) -> "_NoTrace":
+        return self
+
+    def _ignore(self, *args: Any) -> None:
+        pass
+
+    set = inc = __exit__ = _ignore
+
+    def meter_batches(self, chunks: Iterable, key: str = "rows_out") -> Iterable:
+        return chunks
+
+    count_batches = meter_batches
+
+
+NO_TRACE = _NoTrace()
+
+
+def traced(trace: Any) -> Any:
+    """``trace``, or :data:`NO_TRACE` for ``None``: how each entry point
+    taking ``tracer=None`` / ``trace=None`` normalises it, once."""
+    return NO_TRACE if trace is None else trace
 
 
 class Ticker:

@@ -29,7 +29,7 @@ from .batch import (
 )
 from .catalog import Database, QueryResult
 from .errors import PlanError
-from .executor import AggregateState, Ticker, count_star_sentinel
+from .executor import AggregateState, Ticker, count_star_sentinel, traced
 from .expressions import Scope, compile_expr, contains_aggregate, expr_columns
 from .index import HashIndex, find_index
 from .table import Table
@@ -64,10 +64,10 @@ def run_statement(
 
     ``trace`` is an optional parent span (duck-typed against
     ``repro.core.observe.Span``: ``child`` / ``set`` / ``inc`` /
-    ``meter_batches`` / ``count_batches`` / ``count``). When supplied,
-    every operator the planner builds reports rows-in/rows-out and
-    inclusive time under it; when ``None`` (the default) the operator
-    pipelines are exactly the uninstrumented ones.
+    ``meter_batches`` / ``count_batches``). Every operator the planner
+    builds reports rows-in/rows-out and inclusive time under it; ``None``
+    (the default) stands for :data:`~.executor.NO_TRACE`, whose metering
+    wrappers hand each operator's iterator back unwrapped.
     ``budget`` (duck-typed, ``repro.core.resilience.Budget``) threads
     per-query guardrails into every operator's :class:`Ticker`.
     """
@@ -177,8 +177,8 @@ class Planner:
         self.deadline = deadline
         self.budget = budget
         self.cte_env: dict[str, QueryResult] = dict(cte_env or {})
-        #: parent span for operators planned next (None = tracing off)
-        self.trace = trace
+        #: parent span for operators planned next (NO_TRACE = tracing off)
+        self.trace = traced(trace)
         #: MVCC snapshot version every table scan pins (None = latest)
         self.version = version
 
@@ -195,42 +195,27 @@ class Planner:
                 version=self.version,
             )
             for name, cte_query in query.ctes:
-                if inner.trace is not None:
-                    with self.trace.child(f"cte {name}") as cte_span:
-                        inner.trace = cte_span
-                        result = inner.execute_query(cte_query)
-                        cte_span.set("rows_out", len(result.rows))
-                    inner.trace = self.trace
-                else:
-                    result = inner.execute_query(cte_query)
-                inner.cte_env[name.lower()] = result
+                inner.cte_env[name.lower()] = inner._run_under(
+                    f"cte {name}", inner.execute_query, cte_query
+                )
             return inner.execute_query(query.body)
         if isinstance(query, ast.SetOp):
-            return self._execute_setop(query)
+            name = f"setop {query.op.upper().replace(' ', '-')}"
+            return self._run_under(name, self._run_setop, query)
         if isinstance(query, ast.Select):
-            if self.trace is None:
-                return self._execute_select(query)
-            saved = self.trace
-            span = saved.child("select")
-            self.trace = span
-            try:
-                with span:
-                    result = self._execute_select(query)
-                    span.set("rows_out", len(result.rows))
-                return result
-            finally:
-                self.trace = saved
+            return self._run_under("select", self._execute_select, query)
         raise PlanError(f"not a query: {query!r}")
 
-    def _execute_setop(self, query: ast.SetOp) -> QueryResult:
-        if self.trace is None:
-            return self._run_setop(query)
+    def _run_under(
+        self, name: str, run: Callable[[Any], QueryResult], query: ast.Query
+    ) -> QueryResult:
+        """``run(query)`` under a ``name`` span recording its rows_out."""
         saved = self.trace
-        span = saved.child(f"setop {query.op.upper().replace(' ', '-')}")
+        span = saved.child(name)
         self.trace = span
         try:
             with span:
-                result = self._run_setop(query)
+                result = run(query)
                 span.set("rows_out", len(result.rows))
             return result
         finally:
@@ -239,10 +224,9 @@ class Planner:
     def _run_setop(self, query: ast.SetOp) -> QueryResult:
         left = self.execute_query(query.left)
         right = self.execute_query(query.right)
-        if self.trace is not None:
-            self.trace.inc("rows_in_left", len(left.rows))
-            self.trace.inc("rows_in_right", len(right.rows))
-        if left.rows and right.rows and len(left.rows[0]) != len(right.rows[0]):
+        self.trace.inc("rows_in_left", len(left.rows))
+        self.trace.inc("rows_in_right", len(right.rows))
+        if len(left.columns) != len(right.columns):
             raise PlanError("set operation arity mismatch")
         op = query.op.upper()
         if op == "UNION ALL":
@@ -257,10 +241,9 @@ class Planner:
             rows = list(dict.fromkeys(r for r in left.rows if r not in right_set))
         else:
             raise PlanError(f"unsupported set operation {query.op!r}")
-        columns = left.columns or right.columns
-        rows = self._order_output(rows, columns, query.order_by)
+        rows = self._order_output(rows, left.columns, query.order_by)
         rows = _apply_limit(rows, query.limit, query.offset)
-        result = QueryResult(columns, rows)
+        result = QueryResult(left.columns, rows)
         # Affinity meet: a slot keeps its claim only when both branches
         # agree (every output row came from one of them).
         left_types = getattr(left, "column_types", None)
@@ -282,11 +265,6 @@ class Planner:
 
     def _execute_select(self, select: ast.Select) -> QueryResult:
         scope, scope_types, chunks = self._plan_from_where(select)
-        # The pipeline streams chunks; downstream consumers (aggregate loop,
-        # materialization) take rows. chain.from_iterable is a C-level
-        # flatten, so this keeps the batched wins.
-        rows: Iterable[Row] = flatten(chunks)
-
         is_aggregate = (
             bool(select.group_by)
             or select.having is not None
@@ -295,17 +273,20 @@ class Planner:
                 for item in select.items
             )
         )
-        if is_aggregate:
+        # The pipeline streams chunks; downstream consumers (aggregate loop,
+        # materialization) take rows. chain.from_iterable is a C-level
+        # flatten, so this keeps the batched wins.
+        rows: Iterable[Row]
+        if not is_aggregate:
+            rows = flatten(chunks)
+        else:
             base_scope = scope
-            if self.trace is None:
-                scope, rows = self._aggregate(select, scope, rows)
-            else:
-                span = self.trace.child("aggregate")
-                with span:
-                    scope, rows = self._aggregate(
-                        select, scope, span.count(rows, "rows_in")
-                    )
-                    span.set("rows_out", len(rows))
+            span = self.trace.child("aggregate")
+            with span:
+                scope, rows = self._aggregate(
+                    select, scope, flatten(span.count_batches(chunks, "rows_in"))
+                )
+                span.set("rows_out", len(rows))
             scope_types = self._extend_agg_types(scope_types, base_scope)
             if select.having is not None:
                 condition = compile_expr(
@@ -396,10 +377,7 @@ class Planner:
 
     def _distinct(self, projected: list[Row]) -> list[Row]:
         deduped = list(dict.fromkeys(projected))
-        if self.trace is not None:
-            self.trace.child(
-                "distinct", rows_in=len(projected), rows_out=len(deduped)
-            )
+        self.trace.child("distinct", rows_in=len(projected), rows_out=len(deduped))
         return deduped
 
     def _resolve_order_item(
@@ -514,14 +492,12 @@ class Planner:
     def _metered(
         self, factory: ChunksFactory, name: str, **attrs
     ) -> ChunksFactory:
-        """Wrap a chunk-source factory in an operator span when tracing.
+        """Wrap a chunk-source factory in an operator span.
 
         The span is created on first use — a factory the planner ends up
         bypassing (e.g. a seq scan displaced by an index probe) leaves no
         phantom operator — and accumulates rows_out / inclusive time across
         every invocation (a nested-loop right side re-runs per left batch)."""
-        if self.trace is None:
-            return factory
         parent = self.trace
         state: dict[str, Any] = {}
 
@@ -595,12 +571,12 @@ class Planner:
             )
         if index_match is not None:
             index, key, local = index_match
-            rows = index_scan_batches(index, key, self.ticker, self.version)
-            if self.trace is not None:
-                span = self.trace.child(
-                    f"index-scan {planned.base.name}", index=index.name
-                )
-                rows = span.meter_batches(rows)
+            span = self.trace.child(
+                f"index-scan {planned.base.name}", index=index.name
+            )
+            rows = span.meter_batches(
+                index_scan_batches(index, key, self.ticker, self.version)
+            )
         else:
             rows = planned.factory()
         if local:
@@ -616,7 +592,7 @@ class Planner:
         scope: Scope,
         column_types: list[ColumnType | None] | None,
     ) -> Chunks:
-        """A filter operator, metered (rows-in/rows-out/time) when tracing.
+        """A filter operator, metered (rows-in/rows-out/time).
 
         A whole-chunk kernel is compiled from the predicate AST for the
         supported subset; otherwise the row-wise evaluator runs per row
@@ -625,8 +601,6 @@ class Planner:
             expr, scope, self.db.dictionary, column_types
         )
         condition = compile_expr(expr, scope) if kernel is None else None
-        if self.trace is None:
-            return filter_batches(rows, kernel, condition, self.ticker)
         span = self.trace.child("filter")
         return span.meter_batches(
             filter_batches(
@@ -699,8 +673,6 @@ class Planner:
                 defer=None if outer else post_residual,
             )
             if probe is not None:
-                if self.trace is None:
-                    return _finish(probe(left_rows))
                 span = self.trace.child(
                     f"index-join {right.base.name}", outer=outer
                 )
@@ -718,15 +690,10 @@ class Planner:
                 right_rows = self._filtered(
                     right_rows, ast.conjoin(right_only), right.scope, right.types
                 )
-            span = None if self.trace is None else self.trace.child(
-                "hash-join", outer=outer
-            )
-            if span is not None:
-                left_rows = span.count_batches(left_rows, "rows_in_left")
-                right_rows = span.count_batches(right_rows, "rows_in_right")
+            span = self.trace.child("hash-join", outer=outer)
             joined = hash_join_batches(
-                left_rows,
-                right_rows,
+                span.count_batches(left_rows, "rows_in_left"),
+                span.count_batches(right_rows, "rows_in_right"),
                 left_slots,
                 right_slots,
                 len(right.scope),
@@ -734,42 +701,31 @@ class Planner:
                 outer,
                 self.ticker,
             )
-            return _finish(joined if span is None else span.meter_batches(joined))
+            return _finish(span.meter_batches(joined))
 
         # No equi keys: nested loop with the full condition (the rare
         # non-equi path; the operator flattens both sides and re-chunks).
-        right_factory = right.factory
-        if right_only:
-            right_condition = compile_expr(ast.conjoin(right_only), right.scope)
-            ticker = self.ticker
-            base_factory = right_factory
-
-            def _filtered_right() -> Chunks:
-                return filter_batches(
-                    base_factory(), None, right_condition, ticker
-                )
-
-            right_factory = _filtered_right
-        span = None if self.trace is None else self.trace.child(
-            "nested-loop-join", outer=outer
+        right_condition = (
+            compile_expr(ast.conjoin(right_only), right.scope) if right_only else None
         )
-        if span is not None:
-            left_rows = span.count_batches(left_rows, "rows_in_left")
-            inner_factory = right_factory
+        ticker = self.ticker
+        span = self.trace.child("nested-loop-join", outer=outer)
 
-            def _counted_right() -> Chunks:
-                return span.count_batches(inner_factory(), "rows_in_right")
+        def _right_rows() -> Chunks:
+            chunks = right.factory()
+            if right_condition is not None:
+                chunks = filter_batches(chunks, None, right_condition, ticker)
+            return span.count_batches(chunks, "rows_in_right")
 
-            right_factory = _counted_right
         joined = nested_loop_join_batches(
-            left_rows,
-            right_factory,
+            span.count_batches(left_rows, "rows_in_left"),
+            _right_rows,
             len(right.scope),
             residual_eval,
             outer,
             self.ticker,
         )
-        return _finish(joined if span is None else span.meter_batches(joined))
+        return _finish(span.meter_batches(joined))
 
     def _try_index_probe(
         self,

@@ -10,12 +10,11 @@ is the sub-optimal comparator of §3.3 / Figure 14.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any
 
 from ..backends.base import Backend
-from ..core.observe import Tracer
+from ..core.observe import Tracer, traced
 from ..core.querycache import (
     DEFAULT_CACHE_SIZE,
     CacheInfo,
@@ -82,14 +81,6 @@ class EngineConfig:
         return (self.optimizer, self.merge, self.methods, self.use_statistics)
 
 
-_NO_SPAN = nullcontext()  # stateless, so one instance serves every query
-
-
-def _stage(tracer: Tracer | None, name: str, **attrs):
-    """A tracer span when tracing, a no-op context (yielding None) otherwise."""
-    return tracer.span(name, **attrs) if tracer is not None else _NO_SPAN
-
-
 def _decode_rows(raw_rows: list[tuple], width: int) -> list[tuple[Term | None, ...]]:
     """Backend rows (term keys) to terms; ``width`` drops any trailing
     marker column (ASK)."""
@@ -142,10 +133,11 @@ class SparqlEngine:
         """The full pipeline with per-stage wall timings (parse / plan /
         translate) for the cache's compile-cost accounting, plus the
         planner's decision record (which planner produced the join order,
-        its confidence and estimates). With a tracer, every stage (and the
-        planner's sub-stages) also opens a span."""
+        its confidence and estimates). Every stage (and the planner's
+        sub-stages) opens a span of ``tracer``."""
+        tracer = traced(tracer)
         started = time.perf_counter()
-        with _stage(tracer, "parse"):
+        with tracer.span("parse"):
             parsed = parse_sparql(sparql) if isinstance(sparql, str) else sparql
             if isinstance(parsed, AskQuery):
                 select = SelectQuery(variables=None, where=parsed.where, limit=1)
@@ -153,10 +145,10 @@ class SparqlEngine:
                 select = parsed
             select = normalize(select)
         parsed_at = time.perf_counter()
-        with _stage(tracer, "plan", optimizer=self.config.optimizer):
+        with tracer.span("plan", optimizer=self.config.optimizer):
             plan, info = self._plan(select, tracer)
         planned_at = time.perf_counter()
-        with _stage(tracer, "translate"):
+        with tracer.span("translate"):
             translator = PipelineTranslator(self.emitter)
             compiled = translator.translate(plan, select)
         done = time.perf_counter()
@@ -184,10 +176,10 @@ class SparqlEngine:
         fingerprint = self.config.fingerprint()
         if epoch is None:
             epoch = self.stats.epoch
-        with _stage(tracer, "cache") as span:
+        tracer = traced(tracer)
+        with tracer.span("cache") as span:
             entry, outcome = self.cache.probe(key, fingerprint, epoch)
-            if span is not None:
-                span.set("outcome", outcome)
+            span.set("outcome", outcome)
         if entry is not None:
             return entry
         compiled, select, timings, info = self._compile_stages(sparql, tracer)
@@ -207,13 +199,13 @@ class SparqlEngine:
         return self.cache.info()
 
     def _plan(
-        self, select: SelectQuery, tracer: Tracer | None = None
+        self, select: SelectQuery, tracer: Tracer
     ) -> tuple[ExecNode, dict[str, Any]]:
         pattern_tree = PatternTree.build(select.where)
         triples = select.triples()
         info: dict[str, Any] = {"planner": self.config.optimizer}
         if self.config.optimizer == "naive":
-            with _stage(tracer, "planbuild", mode="textual"):
+            with tracer.span("planbuild", mode="textual"):
                 execution_tree = textual_execution_tree(
                     select.where, self._textual_method_chooser
                 )
@@ -227,7 +219,7 @@ class SparqlEngine:
             )
             flow = None
             if self.config.optimizer == "cost":
-                with _stage(tracer, "enumerate", triples=len(triples)):
+                with tracer.span("enumerate", triples=len(triples)):
                     plans = enumerate_join_orders(
                         triples, pattern_tree, stats, self.config.methods
                     )
@@ -254,15 +246,15 @@ class SparqlEngine:
                         alternatives=len(plans),
                     )
             if flow is None:
-                with _stage(tracer, "dataflow", triples=len(triples)):
+                with tracer.span("dataflow", triples=len(triples)):
                     graph = build_data_flow_graph(
                         triples, pattern_tree, stats, self.config.methods
                     )
                     flow = optimal_flow_tree(graph)
-            with _stage(tracer, "planbuild", mode="flow"):
+            with tracer.span("planbuild", mode="flow"):
                 execution_tree = build_execution_tree(select.where, flow)
         if self.config.merge and self.emitter.supports_merge:
-            with _stage(tracer, "merge"):
+            with tracer.span("merge"):
                 ctx = MergeContext.build(
                     pattern_tree, triples, self.spill_direct, self.spill_reverse
                 )
@@ -295,18 +287,19 @@ class SparqlEngine:
         snapshot: Any = None,
         epoch: int | None = None,
     ) -> SelectResult:
-        """Compile (through the plan cache), execute, decode. With a tracer
-        the same three steps run under ``compile`` / ``execute`` /
-        ``decode`` spans and the backend meters its own work; without one
-        every ``span`` below is None."""
-        with _stage(tracer, "compile"):
+        """Compile (through the plan cache), execute, decode, under
+        ``compile`` / ``execute`` / ``decode`` spans; the backend meters
+        its own work. Untraced, every span is the no-op ``NO_TRACE`` and
+        the backend receives ``tracer=None``."""
+        trace = traced(tracer)
+        with trace.span("compile"):
             if isinstance(sparql, str) and self.cache.enabled:
-                plan = self.compile_cached(sparql, tracer, epoch=epoch)
+                plan = self.compile_cached(sparql, trace, epoch=epoch)
                 compiled, variables = plan.sql, list(plan.variables)
             else:
-                compiled, select, _, _ = self._compile_stages(sparql, tracer)
+                compiled, select, _, _ = self._compile_stages(sparql, trace)
                 variables = select.projected_variables()
-        with _stage(tracer, "execute", backend=self.backend.name) as span:
+        with trace.span("execute", backend=self.backend.name) as span:
             try:
                 columns, raw_rows = self.backend.execute(
                     compiled,
@@ -318,18 +311,16 @@ class SparqlEngine:
             finally:
                 # Guardrail trips surface as span counters even when the
                 # trip aborts the query mid-span.
-                if span is not None and budget is not None:
+                if budget is not None:
                     span.set("budget_ticks", budget.ticks)
                     if budget.tripped is not None:
                         span.set("guardrail", budget.tripped)
             if budget is not None:
                 budget.enforce_output(len(raw_rows))
-            if span is not None:
-                span.set("rows_out", len(raw_rows))
-        with _stage(tracer, "decode") as span:
+            span.set("rows_out", len(raw_rows))
+        with trace.span("decode") as span:
             rows = _decode_rows(raw_rows, len(variables))
-            if span is not None:
-                span.set("rows_out", len(rows))
+            span.set("rows_out", len(rows))
         return SelectResult(variables, rows)
 
     def ask(self, sparql: str, timeout: float | None = None) -> bool:

@@ -16,10 +16,10 @@ variables (or a literal in subject position) are skipped.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Protocol
 
+from ..core.observe import traced
 from ..rdf.terms import Literal, Term, Triple, URI
 from ..sparql.ast import GroupPattern, SelectQuery, TriplePattern, Var
 from ..sparql.results import SelectResult
@@ -53,10 +53,6 @@ class UpdateResult:
         )
 
 
-def _stage(tracer, name: str, **attrs):
-    return tracer.span(name, **attrs) if tracer is not None else nullcontext()
-
-
 def apply_update(
     request: UpdateRequest, target: WriteTarget, tracer=None
 ) -> UpdateResult:
@@ -66,11 +62,12 @@ def apply_update(
     sequential semantics). Atomicity is the *caller's* concern: wrap the
     call in a transaction to make the whole request atomic.
     """
+    tracer = traced(tracer)
     result = UpdateResult()
     for operation in request.operations:
         result.operations += 1
         name = type(operation).__name__
-        with _stage(tracer, f"apply.{name}") as span:
+        with tracer.span(f"apply.{name}") as span:
             if isinstance(operation, InsertData):
                 inserted = _add_all(target, operation.triples)
                 deleted = 0
@@ -100,9 +97,8 @@ def apply_update(
                 raise TypeError(f"unknown update operation {operation!r}")
             result.inserted += inserted
             result.deleted += deleted
-            if span is not None and hasattr(span, "set"):
-                span.set("inserted", inserted)
-                span.set("deleted", deleted)
+            span.set("inserted", inserted)
+            span.set("deleted", deleted)
     return result
 
 

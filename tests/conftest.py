@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+
 import pytest
 
 from repro import Graph, Triple, URI
@@ -54,3 +57,21 @@ SELECT ?x ?y ?z ?n ?m WHERE {
   OPTIONAL { ?y <HQ> ?m }
 }
 """
+
+
+def check_golden(path: pathlib.Path, actual: str) -> None:
+    """Assert ``actual`` equals the golden file at ``path``.
+
+    ``REGEN_GOLDEN=1`` rewrites every golden file (generated SQL and
+    profile trees alike) from the current output instead::
+
+        REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/sparql
+    """
+    if os.environ.get("REGEN_GOLDEN"):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(actual)
+    expected = path.read_text()
+    assert actual == expected, (
+        f"output drifted from {path}; "
+        f"re-run with REGEN_GOLDEN=1 if the change is intentional"
+    )

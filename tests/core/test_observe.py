@@ -2,11 +2,15 @@
 
 import time
 
+import pytest
+
 from repro.core.observe import (
+    NO_TRACE,
     Span,
     Tracer,
     render_profile,
     summarize_operators,
+    traced,
 )
 
 
@@ -36,23 +40,24 @@ class TestSpan:
 
     def test_meter_counts_and_times(self):
         span = Span("op")
-        rows = list(span.meter(iter([1, 2, 3])))
-        assert rows == [1, 2, 3]
+        chunks = list(span.meter_batches(iter([[1, 2], [3]])))
+        assert chunks == [[1, 2], [3]]
         assert span.attrs["rows_out"] == 3
         assert span.seconds >= 0
 
     def test_meter_partial_consumption_finalizes_on_close(self):
         span = Span("op")
-        iterator = span.meter(iter(range(10)))
+        iterator = span.meter_batches(iter([[i, i] for i in range(10)]))
         next(iterator)
         next(iterator)
         iterator.close()
-        assert span.attrs["rows_out"] == 2
+        assert span.attrs["rows_out"] == 4
 
     def test_count_only_counts(self):
         span = Span("op")
-        assert list(span.count(iter("ab"), "rows_in")) == ["a", "b"]
-        assert span.attrs == {"rows_in": 2}
+        assert list(span.count_batches(iter(["ab", "c"]), "rows_in")) == ["ab", "c"]
+        assert span.attrs == {"rows_in": 3}
+        assert span.seconds == 0
 
     def test_walk_depth_first(self):
         root = Span("a")
@@ -152,3 +157,28 @@ class TestSummaries:
         eqp.set("plan", ["SCAN T", "USING INDEX i"])
         text = render_profile(root)
         assert "| SCAN T" in text and "| USING INDEX i" in text
+
+
+class TestNoTrace:
+    def test_answers_the_span_and_tracer_surface(self):
+        assert NO_TRACE.child("scan", table="DPH") is NO_TRACE
+        assert NO_TRACE.span("parse") is NO_TRACE
+        with NO_TRACE.span("execute") as span:
+            span.set("rows_out", 3)
+            span.inc("rows_in")
+        assert span is NO_TRACE
+
+    def test_metering_returns_the_input(self):
+        chunks = iter([[1], [2]])
+        assert NO_TRACE.meter_batches(chunks) is chunks
+        assert NO_TRACE.count_batches(chunks, "rows_in") is chunks
+
+    def test_does_not_swallow_errors(self):
+        with pytest.raises(KeyError):
+            with NO_TRACE.span("execute"):
+                raise KeyError("boom")
+
+    def test_traced_normalises_none_only(self):
+        tracer = Tracer()
+        assert traced(None) is NO_TRACE
+        assert traced(tracer) is tracer

@@ -10,7 +10,8 @@ import sqlite3
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.relational import ColumnType, Database, parse_sql
+from repro.relational import ColumnType, Database, PlanError
+from repro.relational.parser import parse_sql
 from repro.relational.render import render_statement
 
 ROWS = [
@@ -106,6 +107,26 @@ def test_unordered_agreement(engines, sql_text):
 @pytest.mark.parametrize("sql_text", ORDERED_QUERIES)
 def test_ordered_agreement(engines, sql_text):
     both(engines, sql_text, ordered=True)
+
+
+@pytest.mark.parametrize(
+    "sql_text",
+    [
+        "SELECT name FROM emp WHERE name = 'nobody' "
+        "UNION ALL SELECT name, dept FROM emp",
+        "SELECT name FROM emp "
+        "UNION ALL SELECT name, city FROM dept WHERE name = 'nowhere'",
+    ],
+    ids=["empty-left", "empty-right"],
+)
+def test_setop_arity_mismatch_rejected(engines, sql_text):
+    """Set operations compare column counts, even when one side is empty."""
+    mini, lite = engines
+    (statement,) = parse_sql(sql_text)
+    with pytest.raises(PlanError):
+        mini.execute(statement)
+    with pytest.raises(sqlite3.OperationalError):
+        lite.execute(render_statement(statement))
 
 
 # A tiny random-query generator over one table: projections of simple

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.relational import ast, parse_expression, parse_query, parse_sql
+from repro.relational import ast
+from repro.relational.parser import parse_expression, parse_query, parse_sql
 from repro.relational.errors import SqlSyntaxError
 from repro.relational.types import ColumnType
 

@@ -8,17 +8,16 @@ diff against the golden file rather than as a silent plan regression.
 
 Regenerate after an *intentional* plan change with::
 
-    REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/sparql/test_explain_golden.py
+    REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/sparql
 """
 
-import os
 import pathlib
 
 import pytest
 
 from repro import RdfStore
 
-from ..conftest import figure1_graph
+from ..conftest import check_golden, figure1_graph
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -45,16 +44,7 @@ def store():
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_explain_matches_golden(store, name):
-    actual = store.explain(QUERIES[name]) + "\n"
-    golden_path = GOLDEN_DIR / f"{name}.sql"
-    if os.environ.get("REGEN_GOLDEN"):
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        golden_path.write_text(actual)
-    expected = golden_path.read_text()
-    assert actual == expected, (
-        f"generated SQL for {name!r} drifted from {golden_path}; "
-        f"re-run with REGEN_GOLDEN=1 if the plan change is intentional"
-    )
+    check_golden(GOLDEN_DIR / f"{name}.sql", store.explain(QUERIES[name]) + "\n")
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))

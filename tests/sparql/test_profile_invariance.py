@@ -5,13 +5,28 @@ exactly the rows an unprofiled run returns — the tracer adds spans, not
 semantics. Also pinned here: the trace actually carries what EXPLAIN/
 PROFILE promise (compile stages, cache outcome, per-operator rows on
 minirel, EXPLAIN QUERY PLAN on sqlite).
+
+The span trees themselves are pinned as golden files
+(``golden/<name>.<backend>.profile``): ``render_profile`` output with the
+times stripped and list-valued attributes (sqlite's plan lines, which vary
+by sqlite version) dropped. Regenerate after an intentional change with::
+
+    REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/sparql
 """
+
+import pathlib
+import re
 
 import pytest
 
 from repro import RdfStore, SqliteBackend
+from repro.core import observe
+from repro.core.resilience import BudgetExceededError
+from repro.sparql.parser import SparqlSyntaxError
 
-from ..conftest import figure1_graph
+from ..conftest import check_golden, figure1_graph
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 QUERIES = {
     "star": (
@@ -120,3 +135,76 @@ def test_explain_plan_never_executes(store):
         assert "-- backend plan:" in text
     with pytest.raises(ValueError):
         store.explain(QUERIES["union"], mode="bogus")
+
+
+def _stripped_profile(root):
+    """``render_profile`` without the times and the list-valued sub-lines."""
+    lines = []
+    for line in observe.render_profile(root).splitlines():
+        if line.lstrip().startswith("| "):
+            continue
+        lines.append(re.sub(r"\s+-?\d+\.\d{3} ms$", "", line))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_profile_matches_golden(name, backend_name):
+    """The miss trace then the hit trace of one query on a fresh store."""
+    store = build_store(backend_name)
+    miss = store.profile(QUERIES[name])
+    hit = store.profile(QUERIES[name])
+    check_golden(
+        GOLDEN_DIR / f"{name}.{backend_name}.profile",
+        _stripped_profile(miss) + _stripped_profile(hit),
+    )
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_untraced_query_builds_no_span(backend_name, monkeypatch):
+    """Tracing off costs no span objects, on a plan-cache miss or hit."""
+    store = build_store(backend_name)
+    built = []
+    original = observe.Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(observe.Span, "__init__", counting_init)
+    for name in sorted(QUERIES):
+        store.query(QUERIES[name])
+        store.query(QUERIES[name])
+    assert built == []
+
+
+CROSS_PRODUCT = "SELECT ?a ?d ?g WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }"
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("reader", ["store", "snapshot"])
+def test_failed_profiled_query_reaches_sinks(backend_name, reader):
+    """A guardrail trip still delivers its trace, and the error still
+    propagates."""
+    store = build_store(backend_name)
+    seen = []
+    store.profile_sinks.append(seen.append)
+    with store.snapshot() as snapshot:
+        target = store if reader == "store" else snapshot
+        with pytest.raises(BudgetExceededError):
+            target.query(CROSS_PRODUCT, max_intermediate_rows=5, profile=True)
+    assert len(seen) == 1
+    assert seen[0].name == "query"
+    assert seen[0].find("execute").attrs["guardrail"] == "intermediate"
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_failed_profiled_update_reaches_sinks(backend_name):
+    store = build_store(backend_name)
+    seen = []
+    store.profile_sinks.append(seen.append)
+    with pytest.raises(SparqlSyntaxError):
+        store.update("INSERT DATA { <a> <b> ", profile=True)
+    assert len(seen) == 1
+    assert seen[0].name == "update"
+    assert seen[0].find("parse") is not None
