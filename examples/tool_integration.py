@@ -72,7 +72,7 @@ def main() -> None:
     print(f"\nwide union (25 branches): {len(result)} artifact/creator rows")
 
     # Timeouts classify runaway queries instead of hanging the harness.
-    from repro.relational.errors import QueryTimeout
+    from repro.core.resilience import QueryTimeoutError
 
     try:
         store.query(
@@ -83,7 +83,7 @@ def main() -> None:
             timeout=0.05,
         )
         print("\nrunaway query finished within its budget")
-    except QueryTimeout:
+    except QueryTimeoutError:
         print("\nrunaway 4-way self-join was cancelled by the 50 ms deadline")
 
 

@@ -81,19 +81,18 @@ class Backend(abc.ABC):
     def execute(
         self,
         statement: ast.Statement | str,
-        timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
         tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
         """Run a statement; returns (column names, rows).
 
-        ``timeout`` is in seconds; expiry raises
-        :class:`repro.relational.errors.QueryTimeout` on either backend.
-        ``budget`` is an optional guardrail object (duck-typed,
-        :class:`repro.core.resilience.Budget`): its deadline and
-        intermediate-row ceiling are enforced cooperatively during
-        execution and trips raise the typed guardrail errors.
+        ``budget`` is the statement's one guardrail channel, an optional
+        object (duck-typed, :class:`repro.core.resilience.Budget`): its
+        deadline and intermediate-row ceiling are enforced cooperatively
+        during execution and trips raise the budget's typed errors
+        (``QueryTimeoutError`` / ``BudgetExceededError``) on either
+        backend. ``None`` runs unguarded.
         ``snapshot`` is a handle from :meth:`open_snapshot`; when given,
         the statement reads the point-in-time state the handle pins
         instead of the latest state.
@@ -195,7 +194,6 @@ class BackendInterposer(Backend):
     def execute(
         self,
         statement: ast.Statement | str,
-        timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
         tracer: Any = None,
@@ -204,7 +202,6 @@ class BackendInterposer(Backend):
             "execute",
             lambda: self.inner.execute(
                 statement,
-                timeout=timeout,
                 budget=budget,
                 snapshot=snapshot,
                 tracer=tracer,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Any, Iterable, Sequence
 
 from ..relational import ast
@@ -60,22 +59,16 @@ class MiniRelBackend(Backend):
     def execute(
         self,
         statement: ast.Statement | str,
-        timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
         tracer: Any = None,
     ) -> tuple[list[str], list[tuple]]:
-        deadline = time.monotonic() + timeout if timeout is not None else None
         version = None if snapshot is None else snapshot.version
         # The planner meters every operator iterator (scans, joins,
         # filters, set ops, CTEs) into the span.
         with traced(tracer).span(f"{self.name}.execute") as span:
             result = self.db.execute(
-                statement,
-                deadline=deadline,
-                trace=span,
-                budget=budget,
-                version=version,
+                statement, trace=span, budget=budget, version=version
             )
             span.set("rows_out", len(result.rows))
         return result.columns, result.rows

@@ -21,7 +21,6 @@ import time
 from typing import Any, Iterable, Sequence
 
 from ..relational import ast
-from ..relational.errors import QueryTimeout
 from ..relational.expressions import CUSTOM_FUNCTIONS
 from ..relational.render import render_statement
 from ..relational.types import ColumnType
@@ -136,7 +135,6 @@ class SqliteBackend(Backend):
     def execute(
         self,
         statement: ast.Statement | str,
-        timeout: float | None = None,
         budget: Any = None,
         snapshot: Any = None,
         tracer: Any = None,
@@ -147,35 +145,30 @@ class SqliteBackend(Backend):
             with tracer.span(f"{self.name}.execute") as span:
                 with tracer.span("explain-query-plan") as plan_span:
                     plan_span.set("plan", self.explain_query_plan(statement))
-                columns, rows = self.execute(statement, timeout, budget, snapshot)
+                columns, rows = self.execute(statement, budget, snapshot)
                 span.set("rows_out", len(rows))
             return columns, rows
         if snapshot is not None:
             _register_functions(snapshot.connection, snapshot.registered)
             return self._execute_on(
-                snapshot.connection, snapshot.lock, statement, timeout, budget
+                snapshot.connection, snapshot.lock, statement, budget
             )
         self._register_functions()  # pick up late registrations
-        return self._execute_on(
-            self.connection, self._lock, statement, timeout, budget
-        )
+        return self._execute_on(self.connection, self._lock, statement, budget)
 
     def _execute_on(
         self,
         connection: sqlite3.Connection,
         lock: threading.RLock,
         statement: ast.Statement | str,
-        timeout: float | None,
         budget: Any,
     ) -> tuple[list[str], list[tuple]]:
         # sql_text memoizes rendering per AST instance: a warm plan-cache hit
         # executes the same AST object repeatedly and skips re-rendering too.
         sql = statement if isinstance(statement, str) else self.sql_text(statement)
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        work_cap = None
+        deadline = work_cap = None
         if budget is not None:
-            if deadline is None:
-                deadline = budget.deadline
+            deadline = budget.deadline
             # Best-effort intermediate budget: sqlite cannot count operator
             # rows, so each progress firing (one per PROGRESS_OPS_BUDGET VM
             # instructions) counts as one work unit against the ceiling.
@@ -191,8 +184,7 @@ class SqliteBackend(Backend):
                             budget.tripped = "intermediate"
                             return 1
                     if deadline is not None and time.monotonic() > deadline:
-                        if budget is not None:
-                            budget.tripped = "timeout"
+                        budget.tripped = "timeout"
                         return 1
                     return 0
 
@@ -206,12 +198,9 @@ class SqliteBackend(Backend):
                 cursor = connection.execute(sql)
                 rows = cursor.fetchall()
             except sqlite3.OperationalError as exc:
-                if "interrupted" in str(exc):
-                    if budget is not None and budget.tripped is not None:
-                        budget.raise_tripped(exc)
-                    raise QueryTimeout(
-                        "sqlite query exceeded its deadline"
-                    ) from exc
+                # Only the budget's handler interrupts a statement.
+                if guarded and budget.tripped is not None:
+                    budget.raise_tripped(exc)
                 raise
             finally:
                 if guarded:

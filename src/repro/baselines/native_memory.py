@@ -13,18 +13,19 @@ Design follows the published recipes those systems share:
   style the paper contrasts its flow-based optimizer against.
 
 UNION / OPTIONAL / FILTER semantics reuse the reference algebra; evaluation
-adds a cooperative deadline so the harness can classify timeouts.
+ticks the query's :class:`~repro.core.resilience.Budget` so an expired
+timeout raises the same ``QueryTimeoutError`` as the relational stores.
 """
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
-from typing import Iterable
+from typing import Any, Iterable
 
+from ..core.resilience import Budget
 from ..rdf.graph import Graph
 from ..rdf.terms import Term, Triple, URI
-from ..relational.errors import QueryTimeout
+from ..relational.executor import guarded
 from ..sparql.algebra import normalize
 from ..sparql.ast import (
     AskQuery,
@@ -194,16 +195,15 @@ class NativeMemoryStore:
             select = SelectQuery(variables=None, where=parsed.where, limit=1)
         else:
             select = parsed
-        return self._select(select, timeout)
+        return self._select(select, Budget.from_limits(timeout, None, None))
 
     def select(self, query: SelectQuery) -> SelectResult:
         """Evaluate a parsed SELECT query (the update executor's read hook)."""
         return self._select(query, None)
 
-    def _select(self, select: SelectQuery, timeout: float | None) -> SelectResult:
-        deadline = time.monotonic() + timeout if timeout is not None else None
+    def _select(self, select: SelectQuery, budget: Budget | None) -> SelectResult:
         select = normalize(select)
-        evaluator = _Evaluator(self.indexes, self.optimize_bgp, deadline)
+        evaluator = _Evaluator(self.indexes, self.optimize_bgp, guarded(budget))
         solutions = evaluator.group(select.where, [{}])
         solutions = _sort(solutions, select)
         variables = select.projected_variables()
@@ -226,21 +226,11 @@ def _sort(solutions: list[Bindings], query: SelectQuery) -> list[Bindings]:
 
 class _Evaluator:
     def __init__(
-        self, indexes: HexastoreIndexes, optimize: bool, deadline: float | None
+        self, indexes: HexastoreIndexes, optimize: bool, budget: Any
     ) -> None:
         self.indexes = indexes
         self.optimize = optimize
-        self.deadline = deadline
-        self._ticks = 0
-
-    def _tick(self) -> None:
-        if self.deadline is None:
-            return
-        self._ticks += 1
-        if self._ticks >= 2048:
-            self._ticks = 0
-            if time.monotonic() > self.deadline:
-                raise QueryTimeout("native store query exceeded its deadline")
+        self.budget = budget
 
     # --------------------------------------------------------------- group
 
@@ -331,7 +321,7 @@ class _Evaluator:
             if predicate is not None and not isinstance(predicate, URI):
                 continue
             for s, p, o in self.indexes.match(subject, predicate, obj):
-                self._tick()
+                self.budget.tick()
                 extended = dict(bindings)
                 consistent = True
                 for position, value in (

@@ -11,20 +11,16 @@ merging.
 
 from __future__ import annotations
 
-from ..backends import Backend, MiniRelBackend
-from ..core import sqlfunctions  # noqa: F401
+from ..backends import Backend
 from ..core.errors import UnsupportedQueryError
-from ..core.querycache import CacheInfo, QueryCache
-from ..core.stats import DatasetStatistics
 from ..rdf.graph import Graph
 from ..rdf.terms import Triple, term_key
 from ..relational import ast as sql
 from ..relational.types import ColumnType
 from ..sparql.ast import Var
-from ..sparql.engine import EngineConfig, SparqlEngine
+from ..sparql.engine import EngineConfig
 from ..sparql.optimizer.merge import MergedNode
 from ..sparql.optimizer.planbuilder import AccessNode
-from ..sparql.results import SelectResult
 from ..sparql.translator.pipeline import (
     Ctx,
     SqlBuilder,
@@ -34,6 +30,7 @@ from ..sparql.translator.pipeline import (
     passthrough_items,
     var_col,
 )
+from .layout import RelationalLayout
 
 TABLE = "TRIPLES"
 SUBJ, PRED, OBJ = "subj", "pred", "obj"
@@ -102,7 +99,7 @@ class TripleTableEmitter(TripleEmitter):
         return ctx.with_vars(name, out_vars, now_definite)
 
 
-class TripleStore:
+class TripleStore(RelationalLayout):
     """The runnable baseline store."""
 
     name = "triple-store"
@@ -115,7 +112,7 @@ class TripleStore:
         table: str = TABLE,
         config: EngineConfig | None = None,
     ) -> None:
-        self.backend = backend if backend is not None else MiniRelBackend()
+        super().__init__(backend, config)
         self.table = table
         self.backend.create_table(
             table,
@@ -129,70 +126,21 @@ class TripleStore:
             self.backend.create_index(f"{table}_subj", table, [SUBJ])
         if index_objects:
             self.backend.create_index(f"{table}_obj", table, [OBJ])
-        self.stats = DatasetStatistics()
-        self.config = config or EngineConfig(merge=False)
-        # Survives engine rebuilds; stats-epoch keying invalidates stale plans.
-        self._plan_cache = QueryCache(self.config.cache_size)
-        self._engine: SparqlEngine | None = None
 
-    @classmethod
-    def from_graph(cls, graph: Graph, **kwargs) -> "TripleStore":
-        store = cls(**kwargs)
-        store.load_graph(graph)
-        return store
-
-    def load_graph(self, graph: Graph, top_k_stats: int = 1000) -> None:
-        self.backend.insert_many(
-            self.table,
-            (
-                (
-                    term_key(triple.subject),
-                    triple.predicate.value,
-                    term_key(triple.object),
-                )
-                for triple in graph
-            ),
-        )
-        fresh = DatasetStatistics.from_graph(graph, top_k=top_k_stats)
-        fresh.epoch = self.stats.epoch + 1  # invalidates cached plans
-        self.stats = fresh
-        self._engine = None
+    def _store_graph(self, graph: Graph) -> None:
+        self.backend.insert_many(self.table, map(_row, graph))
 
     def add(self, triple: Triple) -> None:
-        self.backend.insert_many(
-            self.table,
-            [
-                (
-                    term_key(triple.subject),
-                    triple.predicate.value,
-                    term_key(triple.object),
-                )
-            ],
-        )
-        self.stats.record_triple(
-            term_key(triple.subject), triple.predicate.value, term_key(triple.object)
-        )
-        self.stats.bump_epoch()
-        self._engine = None
+        self.backend.insert_many(self.table, [_row(triple)])
+        self._count_added(triple)
 
-    @property
-    def engine(self) -> SparqlEngine:
-        if self._engine is None:
-            self._engine = SparqlEngine(
-                backend=self.backend,
-                emitter=TripleTableEmitter(self.table),
-                stats=self.stats,
-                config=self.config,
-                cache=self._plan_cache,
-            )
-        return self._engine
+    def _emitter(self) -> TripleTableEmitter:
+        return TripleTableEmitter(self.table)
 
-    def query(self, sparql: str, timeout: float | None = None) -> SelectResult:
-        return self.engine.query(sparql, timeout=timeout)
 
-    def cache_info(self) -> CacheInfo:
-        """Plan-cache counters for this store's persistent cache."""
-        return self._plan_cache.info()
-
-    def explain(self, sparql: str) -> str:
-        return self.engine.explain(sparql)
+def _row(triple: Triple) -> tuple[str, str, str]:
+    return (
+        term_key(triple.subject),
+        triple.predicate.value,
+        term_key(triple.object),
+    )

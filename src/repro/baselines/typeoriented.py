@@ -23,20 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..backends import Backend, MiniRelBackend
-from ..core import sqlfunctions  # noqa: F401
+from ..backends import Backend
 from ..core.errors import LoadError, UnsupportedQueryError
-from ..core.querycache import CacheInfo, QueryCache
-from ..core.stats import DatasetStatistics
 from ..rdf.graph import Graph
 from ..rdf.terms import RDF_TYPE, URI, term_key
 from ..relational import ast as sql
 from ..relational.types import ColumnType
 from ..sparql.ast import Var
-from ..sparql.engine import EngineConfig, SparqlEngine
+from ..sparql.engine import EngineConfig
 from ..sparql.optimizer.merge import MergedNode
 from ..sparql.optimizer.planbuilder import AccessNode
-from ..sparql.results import SelectResult
 from ..sparql.translator.pipeline import (
     Ctx,
     SqlBuilder,
@@ -46,6 +42,7 @@ from ..sparql.translator.pipeline import (
     passthrough_items,
     var_col,
 )
+from .layout import RelationalLayout
 
 ENTRY = "entry"
 UNTYPED = "__untyped"
@@ -237,7 +234,7 @@ class TypeOrientedEmitter(TripleEmitter):
         return sql.Select(items=tuple(items), from_=from_, where=sql.conjoin(where))
 
 
-class TypeOrientedStore:
+class TypeOrientedStore(RelationalLayout):
     """The runnable type-oriented baseline (bulk load only: the layout's
     schema is derived from the data, which is precisely its weakness)."""
 
@@ -248,30 +245,19 @@ class TypeOrientedStore:
         backend: Backend | None = None,
         config: EngineConfig | None = None,
     ) -> None:
-        self.backend = backend if backend is not None else MiniRelBackend()
+        super().__init__(backend, config)
         self.tables: dict[str, TypeTable] = {}
         self.secondary = "TS"
         self.backend.create_table(
             self.secondary, [("l_id", ColumnType.TEXT), ("elm", ColumnType.TEXT)]
         )
         self.backend.create_index("TS_lid", self.secondary, ["l_id"])
-        self.stats = DatasetStatistics()
-        self.config = config or EngineConfig(merge=False)
-        # Survives engine rebuilds; stats-epoch keying invalidates stale plans.
-        self._plan_cache = QueryCache(self.config.cache_size)
-        self._engine: SparqlEngine | None = None
         self._counter = 0
         self._lid_counter = 0
 
-    @classmethod
-    def from_graph(cls, graph: Graph, **kwargs) -> "TypeOrientedStore":
-        store = cls(**kwargs)
-        store.load_graph(graph)
-        return store
-
     # ---------------------------------------------------------------- load
 
-    def load_graph(self, graph: Graph, top_k_stats: int = 1000) -> None:
+    def _store_graph(self, graph: Graph) -> None:
         type_uri = URI(RDF_TYPE)
         # 1. assign each subject to a type partition (first type, sorted)
         partition: dict[str, list] = {}
@@ -325,11 +311,6 @@ class TypeOrientedStore:
             if secondary_batch:
                 self.backend.insert_many(self.secondary, secondary_batch)
 
-        fresh = DatasetStatistics.from_graph(graph, top_k=top_k_stats)
-        fresh.epoch = self.stats.epoch + 1  # invalidates cached plans
-        self.stats = fresh
-        self._engine = None
-
     def _table_for(self, type_key: str, predicates: list[str]) -> TypeTable:
         if type_key in self.tables:
             raise LoadError(
@@ -353,24 +334,5 @@ class TypeOrientedStore:
 
     # --------------------------------------------------------------- query
 
-    @property
-    def engine(self) -> SparqlEngine:
-        if self._engine is None:
-            self._engine = SparqlEngine(
-                backend=self.backend,
-                emitter=TypeOrientedEmitter(self.tables, self.secondary),
-                stats=self.stats,
-                config=self.config,
-                cache=self._plan_cache,
-            )
-        return self._engine
-
-    def query(self, sparql: str, timeout: float | None = None) -> SelectResult:
-        return self.engine.query(sparql, timeout=timeout)
-
-    def cache_info(self) -> CacheInfo:
-        """Plan-cache counters for this store's persistent cache."""
-        return self._plan_cache.info()
-
-    def explain(self, sparql: str) -> str:
-        return self.engine.explain(sparql)
+    def _emitter(self) -> TypeOrientedEmitter:
+        return TypeOrientedEmitter(self.tables, self.secondary)

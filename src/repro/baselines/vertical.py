@@ -9,20 +9,16 @@ degenerate to a UNION ALL over every predicate table.
 
 from __future__ import annotations
 
-from ..backends import Backend, MiniRelBackend
-from ..core import sqlfunctions  # noqa: F401
+from ..backends import Backend
 from ..core.errors import UnsupportedQueryError
-from ..core.querycache import CacheInfo, QueryCache
-from ..core.stats import DatasetStatistics
 from ..rdf.graph import Graph
 from ..rdf.terms import Triple, term_key
 from ..relational import ast as sql
 from ..relational.types import ColumnType
 from ..sparql.ast import Var
-from ..sparql.engine import EngineConfig, SparqlEngine
+from ..sparql.engine import EngineConfig
 from ..sparql.optimizer.merge import MergedNode
 from ..sparql.optimizer.planbuilder import AccessNode
-from ..sparql.results import SelectResult
 from ..sparql.translator.pipeline import (
     Ctx,
     SqlBuilder,
@@ -32,6 +28,7 @@ from ..sparql.translator.pipeline import (
     passthrough_items,
     var_col,
 )
+from .layout import RelationalLayout
 
 ENTRY, VAL = "entry", "val"
 
@@ -185,7 +182,7 @@ class VerticalEmitter(TripleEmitter):
         return ctx.with_vars(name, out_vars_union, set(out_vars_union) | consumed)
 
 
-class VerticalStore:
+class VerticalStore(RelationalLayout):
     """The runnable predicate-oriented baseline."""
 
     name = "predicate-oriented"
@@ -197,22 +194,11 @@ class VerticalStore:
         index_objects: bool = True,
         config: EngineConfig | None = None,
     ) -> None:
-        self.backend = backend if backend is not None else MiniRelBackend()
+        super().__init__(backend, config)
         self.index_subjects = index_subjects
         self.index_objects = index_objects
         self.tables: dict[str, str] = {}
-        self.stats = DatasetStatistics()
-        self.config = config or EngineConfig(merge=False)
-        # Survives engine rebuilds; stats-epoch keying invalidates stale plans.
-        self._plan_cache = QueryCache(self.config.cache_size)
-        self._engine: SparqlEngine | None = None
         self._counter = 0
-
-    @classmethod
-    def from_graph(cls, graph: Graph, **kwargs) -> "VerticalStore":
-        store = cls(**kwargs)
-        store.load_graph(graph)
-        return store
 
     def _table_for(self, predicate: str, create: bool = True) -> str | None:
         table = self.tables.get(predicate)
@@ -229,7 +215,7 @@ class VerticalStore:
             self.tables[predicate] = table
         return table
 
-    def load_graph(self, graph: Graph, top_k_stats: int = 1000) -> None:
+    def _store_graph(self, graph: Graph) -> None:
         by_predicate: dict[str, list[tuple[str, str]]] = {}
         for triple in graph:
             by_predicate.setdefault(triple.predicate.value, []).append(
@@ -237,40 +223,13 @@ class VerticalStore:
             )
         for predicate, rows in by_predicate.items():
             self.backend.insert_many(self._table_for(predicate), rows)
-        fresh = DatasetStatistics.from_graph(graph, top_k=top_k_stats)
-        fresh.epoch = self.stats.epoch + 1  # invalidates cached plans
-        self.stats = fresh
-        self._engine = None
 
     def add(self, triple: Triple) -> None:
         self.backend.insert_many(
             self._table_for(triple.predicate.value),
             [(term_key(triple.subject), term_key(triple.object))],
         )
-        self.stats.record_triple(
-            term_key(triple.subject), triple.predicate.value, term_key(triple.object)
-        )
-        self.stats.bump_epoch()
-        self._engine = None
+        self._count_added(triple)
 
-    @property
-    def engine(self) -> SparqlEngine:
-        if self._engine is None:
-            self._engine = SparqlEngine(
-                backend=self.backend,
-                emitter=VerticalEmitter(self.tables),
-                stats=self.stats,
-                config=self.config,
-                cache=self._plan_cache,
-            )
-        return self._engine
-
-    def query(self, sparql: str, timeout: float | None = None) -> SelectResult:
-        return self.engine.query(sparql, timeout=timeout)
-
-    def cache_info(self) -> CacheInfo:
-        """Plan-cache counters for this store's persistent cache."""
-        return self._plan_cache.info()
-
-    def explain(self, sparql: str) -> str:
-        return self.engine.explain(sparql)
+    def _emitter(self) -> VerticalEmitter:
+        return VerticalEmitter(self.tables)

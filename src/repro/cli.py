@@ -22,9 +22,8 @@ from typing import Iterable
 
 from .backends import SqliteBackend
 from .core.observe import render_profile
-from .core.resilience import BudgetExceededError
+from .core.resilience import BudgetExceededError, QueryTimeoutError
 from .core.store import RdfStore
-from .relational.errors import QueryTimeout
 from .sparql.engine import EngineConfig
 from .rdf.graph import Graph
 from .rdf.ntriples import parse as parse_ntriples
@@ -524,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except QueryTimeout as exc:
+    except QueryTimeoutError as exc:
         print(f"error (timeout): {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except WalError as exc:

@@ -5,14 +5,16 @@ points; this module gives the reproduction both properties and — just as
 importantly — the machinery to *prove* them:
 
 * **Guardrails.** A :class:`Budget` carries a per-query wall-clock
-  deadline plus output-row and intermediate-row ceilings. It is threaded
-  cooperatively through the minirel operator pipelines (every operator
-  ``next()`` ticks it) and enforced on sqlite through
-  ``set_progress_handler``. Trips raise :class:`QueryTimeoutError` /
-  :class:`BudgetExceededError`, both under
-  :class:`~repro.core.errors.StoreError`; ``QueryTimeoutError`` also
-  subclasses the relational :class:`~repro.relational.errors.QueryTimeout`
-  so the paper's timeout classification keeps working unchanged.
+  deadline plus output-row and intermediate-row ceilings, and is the only
+  limit a query carries below the store: each store surface turns its
+  ``timeout=`` / ``max_rows=`` arguments into one budget
+  (:meth:`Budget.from_limits`). It is ticked cooperatively by the minirel
+  operator pipelines (every operator chunk) and enforced on sqlite
+  through ``set_progress_handler``. Trips raise
+  :class:`QueryTimeoutError` / :class:`BudgetExceededError`, both
+  under :class:`GuardrailError` and :class:`~repro.core.errors.StoreError`;
+  ``QueryTimeoutError`` is the one timeout type the paper's
+  classification catches.
 * **Deterministic fault injection.** A :class:`FaultPlan` is a seeded
   schedule of :class:`Fault` rules — fail the Nth ``insert_many``, raise
   on ``fsync``, kill (or tear) WAL record K, fill the disk, lose the
@@ -27,8 +29,8 @@ importantly — the machinery to *prove* them:
 
 The relational substrate never imports this module: a :class:`Budget` is
 handed down duck-typed (like tracing spans) and raises its own typed
-errors from inside the executor's :class:`~repro.relational.executor.
-Ticker`.
+errors from inside the operators that tick it; an unguarded query ticks
+the no-op :data:`~repro.relational.executor.NO_BUDGET` instead.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..backends.base import Backend, BackendInterposer
-from ..relational.errors import QueryTimeout
 from .errors import StoreError
 
 # --------------------------------------------------------------------- errors
@@ -51,12 +52,8 @@ class GuardrailError(StoreError):
     """Base class for guardrail trips (timeouts and budget ceilings)."""
 
 
-class QueryTimeoutError(GuardrailError, QueryTimeout):
-    """The query's wall-clock deadline expired.
-
-    Also a :class:`~repro.relational.errors.QueryTimeout`, so existing
-    harness code that classifies timeouts keeps catching it.
-    """
+class QueryTimeoutError(GuardrailError):
+    """The query's wall-clock deadline expired (the paper's *timeout*)."""
 
 
 class BudgetExceededError(GuardrailError):
@@ -89,7 +86,9 @@ class Budget:
     bounds total operator work (every row an operator produces or probes
     counts one tick). All three are optional and independent.
 
-    The minirel executor ticks the budget from every operator loop; the
+    The minirel executor ticks the budget from every operator loop
+    (:meth:`tick_batch`), sampling the clock once per
+    :attr:`CHECK_EVERY` ticks; the
     sqlite backend maps the deadline onto its progress handler and counts
     handler firings (one per ~:data:`~repro.backends.sqlite.SqliteBackend.
     PROGRESS_OPS_BUDGET` VM instructions) against the intermediate
@@ -103,7 +102,11 @@ class Budget:
         "max_intermediate_rows",
         "ticks",
         "tripped",
+        "_check_at",
     )
+
+    #: ticks between deadline checks (the clock is the expensive part)
+    CHECK_EVERY = 4096
 
     def __init__(
         self,
@@ -120,6 +123,8 @@ class Budget:
         self.ticks = 0
         #: which guardrail tripped: None | "timeout" | "intermediate" | "rows"
         self.tripped: str | None = None
+        #: ``ticks`` value at which :meth:`tick_batch` next reads the clock
+        self._check_at = self.CHECK_EVERY
 
     @classmethod
     def from_limits(
@@ -130,6 +135,22 @@ class Budget:
         if timeout is None and max_rows is None and max_intermediate_rows is None:
             return None
         return cls(timeout, max_rows, max_intermediate_rows)
+
+    def tick_batch(self, count: int = 1) -> None:
+        """Account ``count`` logical rows of operator work (one call per
+        chunk, so row ceilings do not depend on the chunk size)."""
+        if count <= 0:
+            return
+        self.ticks += count
+        cap = self.max_intermediate_rows
+        if cap is not None and self.ticks > cap:
+            self.trip("intermediate")
+        if self.deadline is not None and self.ticks >= self._check_at:
+            self._check_at = self.ticks + self.CHECK_EVERY
+            if time.monotonic() > self.deadline:
+                self.trip("timeout")
+
+    tick = tick_batch
 
     def trip(self, reason: str) -> None:
         """Record a trip and raise the matching typed error."""
@@ -151,9 +172,8 @@ class Budget:
     def raise_tripped(self, cause: BaseException | None = None) -> None:
         """Re-raise the recorded trip (set by the sqlite progress handler,
         which can only return an abort flag, not raise)."""
-        reason = self.tripped or "timeout"
         try:
-            self.trip(reason)
+            self.trip(self.tripped)
         except GuardrailError as exc:
             raise exc from cause
 

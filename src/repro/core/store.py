@@ -625,7 +625,7 @@ class RdfStore:
 
     def ask(self, sparql: str, timeout: float | None = None) -> bool:
         """Evaluate a SPARQL ASK query."""
-        return self.engine.ask(sparql, timeout=timeout)
+        return len(self.query(sparql, timeout=timeout)) > 0
 
     def explain(self, sparql: str, mode: str = "sql") -> str:
         """EXPLAIN a query without executing it.

@@ -15,7 +15,6 @@ from .errors import (
     CatalogError,
     ExecutionError,
     PlanError,
-    QueryTimeout,
     RelationalError,
     SqlSyntaxError,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "HashIndex",
     "PlanError",
     "QueryResult",
-    "QueryTimeout",
     "RelationalError",
     "SqlSyntaxError",
     "Table",

@@ -9,7 +9,7 @@ Two kinds of building blocks live here:
 
 * **Batch operators** (``seq_scan_batches``, ``filter_batches``, the
   joins): generator functions over chunk iterators. Guardrails move to
-  per-chunk ``Ticker.tick_batch(len(chunk))`` calls, which count *logical
+  per-chunk ``budget.tick_batch(len(chunk))`` calls, which count *logical
   rows*, so row budgets and deadlines do not depend on the chunk size.
 * **Kernel compilers** (``compile_filter_kernel``,
   ``compile_projection_kernel``): translate a restricted but hot subset of
@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator
 from . import ast
 from .dictionary import EncodedString, StringDictionary
 from .errors import PlanError
-from .executor import Ticker, nested_loop_join
+from .executor import nested_loop_join
 from .expressions import Evaluator, Scope
 from .index import HashIndex
 from .table import Table
@@ -84,23 +84,23 @@ def chunk_list(rows: list) -> Chunks:
 # ---------------------------------------------------------------- operators
 
 
-def seq_scan_batches(table: Table, ticker: Ticker, version: int | None) -> Chunks:
+def seq_scan_batches(table: Table, budget: Any, version: int | None) -> Chunks:
     batches = (
         table.scan_batches(CHUNK_SIZE)
         if version is None
         else chunked(table.scan_at(version))
     )
-    tick = ticker.tick_batch
+    tick = budget.tick_batch
     for chunk in batches:
         tick(len(chunk))
         yield chunk
 
 
 def index_scan_batches(
-    index: HashIndex, key: tuple, ticker: Ticker, version: int | None
+    index: HashIndex, key: tuple, budget: Any, version: int | None
 ) -> Chunks:
     for chunk in chunked(index.lookup(key, version)):
-        ticker.tick_batch(len(chunk))
+        budget.tick_batch(len(chunk))
         yield chunk
 
 
@@ -108,11 +108,11 @@ def filter_batches(
     chunks: Chunks,
     kernel: FilterKernel | None,
     condition: Evaluator | None,
-    ticker: Ticker,
+    budget: Any,
 ) -> Chunks:
     """Filter whole chunks; compiled kernel when available, else the scalar
     condition applied inside a comprehension (exact three-valued logic)."""
-    tick = ticker.tick_batch
+    tick = budget.tick_batch
     if kernel is not None:
         for chunk in chunks:
             tick(len(chunk))
@@ -136,11 +136,11 @@ def hash_join_batches(
     right_width: int,
     residual: Evaluator | None,
     outer: bool,
-    ticker: Ticker,
+    budget: Any,
 ) -> Chunks:
     """Batched equi hash join (LEFT OUTER when ``outer``); NULL keys never
     match (SQL equality is unknown on NULL)."""
-    tick = ticker.tick_batch
+    tick = budget.tick_batch
     buckets: dict[Any, list[Row]] = {}
     if len(right_slots) == 1:
         slot = right_slots[0]
@@ -209,7 +209,7 @@ def index_join_batches(
     right_filter: Evaluator | None,
     residual: Evaluator | None,
     outer: bool,
-    ticker: Ticker,
+    budget: Any,
     version: int | None,
 ) -> Chunks:
     """Batched index-nested-loop join: probe the right index per left row,
@@ -220,7 +220,7 @@ def index_join_batches(
     directly. That is only valid reading latest state with no logically
     deleted rows; the check is re-evaluated per input chunk so concurrent
     deletes degrade to the exact path mid-join rather than being missed."""
-    tick = ticker.tick_batch
+    tick = budget.tick_batch
     lookup = index.lookup
     table = index.table
     buckets = index._buckets  # intra-package: the probe loop is the hot path
@@ -297,7 +297,7 @@ def nested_loop_join_batches(
     right_width: int,
     condition: Evaluator | None,
     outer: bool,
-    ticker: Ticker,
+    budget: Any,
 ) -> Chunks:
     """Fallback non-equi join: delegates to the row-wise operator (it is
     the rare path) and re-batches its output."""
@@ -307,7 +307,7 @@ def nested_loop_join_batches(
         right_width,
         condition,
         outer,
-        ticker,
+        budget,
     )
     return chunked(joined)
 

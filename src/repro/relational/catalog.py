@@ -94,20 +94,19 @@ class Database:
     def execute(
         self,
         statement: ast.Statement | str,
-        deadline: float | None = None,
         trace: Any = None,
         budget: Any = None,
         version: int | None = None,
     ) -> "QueryResult":
         """Run a statement (AST node or SQL text); returns a QueryResult.
 
-        ``deadline`` is an absolute ``time.monotonic()`` instant; queries
-        cooperatively abort with :class:`QueryTimeout` once it passes.
         ``trace`` is an optional parent span (duck-typed, see
         ``repro.core.observe``) under which the planner reports
         per-operator rows-in/rows-out and timings. ``budget`` is an
         optional guardrail object (duck-typed,
-        ``repro.core.resilience.Budget``) ticked by every operator loop.
+        ``repro.core.resilience.Budget``) ticked by every operator loop;
+        its deadline and row ceilings are the query's only limits, and a
+        trip raises the budget's own typed error.
         ``version`` pins every table scan to an MVCC snapshot version
         (``None`` reads the latest state, pending writes included).
         """
@@ -118,14 +117,12 @@ class Database:
 
             results: QueryResult | None = None
             for parsed in parse_sql(statement):
-                results = run_statement(
-                    self, parsed, deadline, trace, budget, version
-                )
+                results = run_statement(self, parsed, trace, budget, version)
             if results is None:
                 raise CatalogError("empty SQL script")
             return self._materialize(results)
         return self._materialize(
-            run_statement(self, statement, deadline, trace, budget, version)
+            run_statement(self, statement, trace, budget, version)
         )
 
     def _materialize(self, result: "QueryResult") -> "QueryResult":

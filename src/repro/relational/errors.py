@@ -22,10 +22,3 @@ class PlanError(RelationalError):
 class ExecutionError(RelationalError):
     """A runtime failure while evaluating a plan."""
 
-
-class QueryTimeout(ExecutionError):
-    """The cooperative deadline for a query expired.
-
-    Mirrors the paper's 10-minute query timeout classification: the harness
-    catches this and records the query as *timeout* rather than *error*.
-    """

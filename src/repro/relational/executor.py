@@ -1,19 +1,18 @@
-"""Row-level execution pieces: guardrail ticker, the no-op trace,
-aggregation, fallback join.
+"""Row-level execution pieces: the no-op trace and budget, aggregation,
+fallback join.
 
 The chunked operators the planner composes live in :mod:`batch`; every one
-that can loop unboundedly threads a :class:`Ticker` so long queries abort
-cooperatively, which is how the benchmark harness reproduces the paper's
-timeout classification.
+that can loop unboundedly ticks the query's budget (duck-typed,
+``repro.core.resilience.Budget``, or :data:`NO_BUDGET`) so long queries
+abort cooperatively, which is how the benchmark harness reproduces the
+paper's timeout classification.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Iterable, Iterator
 
 from .dictionary import EncodedString
-from .errors import QueryTimeout
 from .expressions import Evaluator
 
 Row = tuple
@@ -54,71 +53,26 @@ def traced(trace: Any) -> Any:
     return NO_TRACE if trace is None else trace
 
 
-class Ticker:
-    """Cooperative guardrails: cheap counters, occasional clock check.
+class _NoBudget:
+    """The unguarded budget: ``repro.core.resilience.Budget``'s operator
+    surface counting nothing, so every operator ticks one body whether or
+    not the query carries limits."""
 
-    ``budget`` is duck-typed (``repro.core.resilience.Budget`` or None):
-    every tick counts one intermediate row against
-    ``budget.max_intermediate_rows``, and deadline expiry defers to
-    ``budget.trip("timeout")`` so the store-level typed error is raised.
-    With no budget and no deadline a tick is a single None check — the
-    guardrails-off hot path stays untouched.
-    """
+    __slots__ = ()
 
-    CHECK_EVERY = 4096
+    def tick_batch(self, count: int = 1) -> None:
+        pass
 
-    def __init__(self, deadline: float | None, budget: Any = None) -> None:
-        if deadline is None and budget is not None:
-            deadline = budget.deadline
-        self.deadline = deadline
-        self.budget = budget
-        #: False when nothing is guarded: tick() returns on one check, the
-        #: same cost as the pre-guardrail deadline-only fast path
-        self.active = deadline is not None or budget is not None
-        self._count = 0
+    tick = tick_batch
 
-    def tick(self) -> None:
-        if not self.active:
-            return
-        budget = self.budget
-        if budget is not None:
-            budget.ticks += 1
-            cap = budget.max_intermediate_rows
-            if cap is not None and budget.ticks > cap:
-                budget.trip("intermediate")
-        if self.deadline is None:
-            return
-        self._count += 1
-        if self._count >= self.CHECK_EVERY:
-            self._count = 0
-            if time.monotonic() > self.deadline:
-                if budget is not None:
-                    budget.trip("timeout")
-                raise QueryTimeout("query exceeded its deadline")
 
-    def tick_batch(self, count: int) -> None:
-        """Account ``count`` logical rows at once (one call per chunk).
+NO_BUDGET = _NoBudget()
 
-        Row budgets count *rows inside the batch*, not batches: a 1-row
-        ``max_intermediate_rows`` budget trips on the first chunk of a
-        larger scan, whatever the chunk size."""
-        if not self.active or count <= 0:
-            return
-        budget = self.budget
-        if budget is not None:
-            budget.ticks += count
-            cap = budget.max_intermediate_rows
-            if cap is not None and budget.ticks > cap:
-                budget.trip("intermediate")
-        if self.deadline is None:
-            return
-        self._count += count
-        if self._count >= self.CHECK_EVERY:
-            self._count = 0
-            if time.monotonic() > self.deadline:
-                if budget is not None:
-                    budget.trip("timeout")
-                raise QueryTimeout("query exceeded its deadline")
+
+def guarded(budget: Any) -> Any:
+    """``budget``, or :data:`NO_BUDGET` for ``None``: how each entry point
+    taking ``budget=None`` normalises it, once."""
+    return NO_BUDGET if budget is None else budget
 
 
 def nested_loop_join(
@@ -127,18 +81,18 @@ def nested_loop_join(
     right_width: int,
     condition: Evaluator | None,
     outer: bool,
-    ticker: Ticker,
+    budget: Any,
 ) -> Iterator[Row]:
     """Fallback join for non-equi conditions; right side re-iterated per row."""
     materialized_right: list[Row] | None = None
     null_pad = (None,) * right_width
     for left_row in left_rows:
-        ticker.tick()
+        budget.tick()
         if materialized_right is None:
             materialized_right = list(right_rows_factory())
         matched = False
         for right_row in materialized_right:
-            ticker.tick()
+            budget.tick()
             combined = left_row + right_row
             if condition is None or condition(combined) is True:
                 matched = True

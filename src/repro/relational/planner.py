@@ -29,7 +29,7 @@ from .batch import (
 )
 from .catalog import Database, QueryResult
 from .errors import PlanError
-from .executor import AggregateState, Ticker, count_star_sentinel, traced
+from .executor import AggregateState, count_star_sentinel, guarded, traced
 from .expressions import Scope, compile_expr, contains_aggregate, expr_columns
 from .index import HashIndex, find_index
 from .table import Table
@@ -55,7 +55,6 @@ class PlannedUnit:
 def run_statement(
     db: Database,
     statement: ast.Statement,
-    deadline: float | None = None,
     trace: Any = None,
     budget: Any = None,
     version: int | None = None,
@@ -68,12 +67,13 @@ def run_statement(
     builds reports rows-in/rows-out and inclusive time under it; ``None``
     (the default) stands for :data:`~.executor.NO_TRACE`, whose metering
     wrappers hand each operator's iterator back unwrapped.
-    ``budget`` (duck-typed, ``repro.core.resilience.Budget``) threads
-    per-query guardrails into every operator's :class:`Ticker`.
+    ``budget`` (duck-typed, ``repro.core.resilience.Budget``) is the
+    query's one guardrail channel: every operator ticks it, and ``None``
+    stands for :data:`~.executor.NO_BUDGET`, whose ticks count nothing.
     """
     if isinstance(statement, (ast.Select, ast.SetOp, ast.With)):
         return Planner(
-            db, deadline, trace=trace, budget=budget, version=version
+            db, trace=trace, budget=budget, version=version
         ).execute_query(statement)
     if isinstance(statement, ast.CreateTable):
         db.create_table(
@@ -166,16 +166,14 @@ class Planner:
     def __init__(
         self,
         db: Database,
-        deadline: float | None = None,
         cte_env: dict[str, QueryResult] | None = None,
         trace: Any = None,
         budget: Any = None,
         version: int | None = None,
     ) -> None:
         self.db = db
-        self.ticker = Ticker(deadline, budget)
-        self.deadline = deadline
-        self.budget = budget
+        #: the query's guardrails every operator ticks (NO_BUDGET = none)
+        self.budget = guarded(budget)
         self.cte_env: dict[str, QueryResult] = dict(cte_env or {})
         #: parent span for operators planned next (NO_TRACE = tracing off)
         self.trace = traced(trace)
@@ -188,7 +186,6 @@ class Planner:
         if isinstance(query, ast.With):
             inner = Planner(
                 self.db,
-                self.deadline,
                 self.cte_env,
                 trace=self.trace,
                 budget=self.budget,
@@ -527,10 +524,10 @@ class Planner:
             table = self.db.table(item.name)
             binding = item.binding
             scope = Scope([(binding, name) for name in table.schema.column_names])
-            ticker = self.ticker
+            budget = self.budget
             version = self.version
             factory = self._metered(
-                lambda: seq_scan_batches(table, ticker, version),
+                lambda: seq_scan_batches(table, budget, version),
                 f"seq-scan {table.name}",
                 table_rows=len(table),
             )
@@ -575,7 +572,7 @@ class Planner:
                 f"index-scan {planned.base.name}", index=index.name
             )
             rows = span.meter_batches(
-                index_scan_batches(index, key, self.ticker, self.version)
+                index_scan_batches(index, key, self.budget, self.version)
             )
         else:
             rows = planned.factory()
@@ -607,7 +604,7 @@ class Planner:
                 span.count_batches(rows, "rows_in"),
                 kernel,
                 condition,
-                self.ticker,
+                self.budget,
             )
         )
 
@@ -699,7 +696,7 @@ class Planner:
                 len(right.scope),
                 residual_eval,
                 outer,
-                self.ticker,
+                self.budget,
             )
             return _finish(span.meter_batches(joined))
 
@@ -708,13 +705,13 @@ class Planner:
         right_condition = (
             compile_expr(ast.conjoin(right_only), right.scope) if right_only else None
         )
-        ticker = self.ticker
+        budget = self.budget
         span = self.trace.child("nested-loop-join", outer=outer)
 
         def _right_rows() -> Chunks:
             chunks = right.factory()
             if right_condition is not None:
-                chunks = filter_batches(chunks, None, right_condition, ticker)
+                chunks = filter_batches(chunks, None, right_condition, budget)
             return span.count_batches(chunks, "rows_in_right")
 
         joined = nested_loop_join_batches(
@@ -723,7 +720,7 @@ class Planner:
             len(right.scope),
             residual_eval,
             outer,
-            self.ticker,
+            self.budget,
         )
         return _finish(span.meter_batches(joined))
 
@@ -785,7 +782,7 @@ class Planner:
                 if right_only
                 else None
             )
-            ticker = self.ticker
+            budget = self.budget
             width = len(right.scope)
             version = self.version
 
@@ -798,7 +795,7 @@ class Planner:
                     right_filter,
                     combined_residual,
                     outer,
-                    ticker,
+                    budget,
                     version,
                 )
 
@@ -835,7 +832,7 @@ class Planner:
         groups: dict[tuple, tuple[Row, list[AggregateState]]] = {}
         star = count_star_sentinel()
         for row in rows:
-            self.ticker.tick()
+            self.budget.tick()
             key = tuple(evaluator(row) for evaluator in group_evals)
             entry = groups.get(key)
             if entry is None:

@@ -31,8 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any
 
 from ..cli import EXIT_BUDGET, EXIT_SYNTAX, EXIT_TIMEOUT, EXIT_WAL
-from ..core.resilience import BudgetExceededError
-from ..relational.errors import QueryTimeout
+from ..core.resilience import BudgetExceededError, QueryTimeoutError
 from ..sparql.parser import SparqlSyntaxError
 from ..sparql.results import (
     CONTENT_TYPES,
@@ -76,7 +75,7 @@ def _map_exception(exc: Exception) -> HttpResponse:
     """Typed failure → (status, body) with CLI exit-code parity."""
     if isinstance(exc, BudgetExceededError):
         return HttpResponse.text(413, _error_body("budget", str(exc), EXIT_BUDGET))
-    if isinstance(exc, QueryTimeout):
+    if isinstance(exc, QueryTimeoutError):
         return HttpResponse.text(408, _error_body("timeout", str(exc), EXIT_TIMEOUT))
     if isinstance(exc, WalError):
         return HttpResponse.text(500, _error_body("wal", str(exc), EXIT_WAL))

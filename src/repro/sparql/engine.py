@@ -281,7 +281,6 @@ class SparqlEngine:
     def query(
         self,
         sparql: "str | SelectQuery | AskQuery",
-        timeout: float | None = None,
         tracer: Tracer | None = None,
         budget: Any = None,
         snapshot: Any = None,
@@ -302,11 +301,7 @@ class SparqlEngine:
         with trace.span("execute", backend=self.backend.name) as span:
             try:
                 columns, raw_rows = self.backend.execute(
-                    compiled,
-                    timeout=timeout,
-                    budget=budget,
-                    snapshot=snapshot,
-                    tracer=tracer,
+                    compiled, budget=budget, snapshot=snapshot, tracer=tracer
                 )
             finally:
                 # Guardrail trips surface as span counters even when the
@@ -322,9 +317,6 @@ class SparqlEngine:
             rows = _decode_rows(raw_rows, len(variables))
             span.set("rows_out", len(rows))
         return SelectResult(variables, rows)
-
-    def ask(self, sparql: str, timeout: float | None = None) -> bool:
-        return len(self.query(sparql, timeout=timeout)) > 0
 
     def explain(self, sparql: str) -> str:
         """The generated SQL text (the paper's Figure 13 view)."""

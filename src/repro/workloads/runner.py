@@ -19,7 +19,7 @@ from typing import Mapping, Protocol
 
 from ..core.errors import UnsupportedQueryError
 from ..core.querycache import CacheInfo
-from ..relational.errors import QueryTimeout
+from ..core.resilience import QueryTimeoutError
 from ..sparql.parser import SparqlSyntaxError
 from ..sparql.results import SelectResult
 
@@ -115,7 +115,7 @@ def run_system(
                 continue  # don't re-run queries that already failed
             try:
                 seconds, result = time_query(store, queries[name], timeout)
-            except QueryTimeout:
+            except QueryTimeoutError:
                 statuses[name] = QueryOutcome(name, TIMEOUT, timeout)
                 continue
             except (UnsupportedQueryError, SparqlSyntaxError) as exc:

@@ -5,7 +5,7 @@ import pytest
 from repro import Graph, Triple, URI
 from repro.baselines import NativeMemoryStore
 from repro.baselines.native_memory import HexastoreIndexes
-from repro.relational.errors import QueryTimeout
+from repro.core.resilience import QueryTimeoutError
 from repro.sparql import query_graph
 
 from ..conftest import FIGURE6_QUERY
@@ -70,7 +70,7 @@ class TestQueries:
             for j in range(60):
                 graph.add(t(f"s{i}", "p", f"o{j}"))
         store = NativeMemoryStore.from_graph(graph)
-        with pytest.raises(QueryTimeout):
+        with pytest.raises(QueryTimeoutError):
             store.query(
                 "SELECT * WHERE { ?a <p> ?x . ?b <p> ?x . ?c <p> ?x . ?d <p> ?x }",
                 timeout=0.02,

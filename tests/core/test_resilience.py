@@ -21,7 +21,6 @@ from repro.core.resilience import (
     TransientFaultError,
 )
 from repro.relational import ColumnType
-from repro.relational.errors import QueryTimeout
 
 from ..conftest import figure1_graph
 
@@ -53,8 +52,6 @@ class TestBudgetGuardrails:
     def test_error_taxonomy(self):
         assert issubclass(QueryTimeoutError, GuardrailError)
         assert issubclass(QueryTimeoutError, StoreError)
-        # Existing timeout classification keeps catching the new error.
-        assert issubclass(QueryTimeoutError, QueryTimeout)
         assert issubclass(BudgetExceededError, GuardrailError)
         assert issubclass(BudgetExceededError, StoreError)
 
@@ -180,7 +177,6 @@ SURFACE_CALLS = {
     "insert_many": {"table_name": "t", "rows": [(1,), (2,)]},
     "execute": {
         "statement": "SELECT 1",
-        "timeout": 1.5,
         "budget": Budget(),
         "snapshot": object(),
         "tracer": Tracer(),

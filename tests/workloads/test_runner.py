@@ -5,7 +5,7 @@ import pytest
 from repro import Graph, RdfStore, Triple, URI
 from repro.baselines import NativeMemoryStore
 from repro.core.errors import UnsupportedQueryError
-from repro.relational.errors import QueryTimeout
+from repro.core.resilience import QueryTimeoutError
 from repro.sparql.results import SelectResult
 from repro.workloads import runner
 
@@ -28,7 +28,7 @@ class _FlakyStore:
 
     def query(self, sparql, timeout=None):
         if self.mode == "timeout":
-            raise QueryTimeout("too slow")
+            raise QueryTimeoutError("too slow")
         if self.mode == "unsupported":
             raise UnsupportedQueryError("no can do")
         if self.mode == "crash":
