@@ -57,7 +57,12 @@ class RelationalLayout:
         raise NotImplementedError
 
     def _count_added(self, triple: Triple) -> None:
-        """Fold one added triple into the statistics (new plan epoch)."""
+        """Fold one added triple into the statistics (new plan epoch).
+
+        The layouts' ``add`` is a blind insert that cannot tell a new
+        subject or object from a stored one, so it counts neither as new:
+        the triple and predicate counts stay exact, the distinct counts
+        keep their last loaded values."""
         self.stats.record_triple(
             term_key(triple.subject), triple.predicate.value, term_key(triple.object)
         )

@@ -79,8 +79,7 @@ class LoadReport:
     triples: int
     direct: SideMetadata
     reverse: SideMetadata
-    #: statistics collected during shredding (same pass, no rescan); the
-    #: store merges these into its dataset statistics on append
+    #: statistics collected during shredding (same pass, no rescan)
     stats: DatasetStatistics | None = None
 
 
@@ -210,9 +209,10 @@ class Loader:
         """Shred a whole graph into both directions (the §2.3 bulk path).
 
         The loader already visits every entity group while shredding, so
-        dataset statistics (counts, top-k constants, per-predicate
-        distincts and sketches) are collected in the same pass and shipped
-        on the report — no second scan of the graph.
+        dataset statistics (counts, distinct entities, top-k constants) are
+        collected in the same pass and shipped on the report — no second
+        scan of the graph. Only an empty store takes this path: it writes
+        one fresh row set per entity and never looks at stored rows.
         """
         collector = StatsCollector(top_k=top_k_stats)
         direct = self._load_side(
@@ -274,7 +274,8 @@ class Loader:
 
     def insert_triple(self, triple: Triple) -> tuple[bool, SideMetadata, SideMetadata]:
         """Insert one triple incrementally; returns ``(inserted, direct
-        metadata delta, reverse metadata delta)``.
+        metadata delta, reverse metadata delta)``. A delta's ``entities``
+        is 1 when the write created that side's first row for its entity.
 
         ``inserted`` is False for an exact duplicate, in which case neither
         side was touched and both deltas are empty."""
@@ -373,8 +374,10 @@ class Loader:
 
     # -------------------------------------------------------------- delete
 
-    def delete_triple(self, triple: Triple) -> bool:
-        """Delete one triple; returns False if it was not stored.
+    def delete_triple(self, triple: Triple) -> tuple[bool, SideMetadata, SideMetadata]:
+        """Delete one triple; returns ``(existed, direct metadata delta,
+        reverse metadata delta)`` like :meth:`insert_triple`, with
+        ``entities`` at -1 when the delete dropped the entity's last row.
 
         Multi-valued cells shrink through the secondary table and demote
         back to a direct value when one object remains; a cell whose last
@@ -384,15 +387,20 @@ class Loader:
         subject_key = term_key(triple.subject)
         predicate = triple.predicate.value
         object_key = term_key(triple.object)
+        direct_delta = SideMetadata()
+        reverse_delta = SideMetadata()
         existed = self._delete_one_side(
-            self._side(True), subject_key, predicate, object_key
+            self._side(True), subject_key, predicate, object_key, direct_delta
         )
         if existed:
-            self._delete_one_side(self._side(False), object_key, predicate, subject_key)
-        return existed
+            self._delete_one_side(
+                self._side(False), object_key, predicate, subject_key, reverse_delta
+            )
+        return existed, direct_delta, reverse_delta
 
     def _delete_one_side(
-        self, side: tuple, entry: str, predicate: str, value: str
+        self, side: tuple, entry: str, predicate: str, value: str,
+        delta: SideMetadata,
     ) -> bool:
         primary_table, secondary_table, mapper, width, lids, _, _ = side
         lid_prefix = lids.prefix
@@ -405,7 +413,7 @@ class Loader:
                 stored = row["vals"][column]
                 if stored == value:
                     self._clear_cell(primary_table, row, column)
-                    self._drop_row_if_empty(primary_table, row)
+                    self._drop_row_if_empty(primary_table, row, rows, delta)
                     return True
                 if stored is not None and stored.startswith(lid_prefix):
                     if not self._secondary_contains(secondary_table, stored, value):
@@ -420,7 +428,7 @@ class Loader:
                         self._remove_secondary(secondary_table, stored, remaining[0])
                     elif not remaining:
                         self._clear_cell(primary_table, row, column)
-                        self._drop_row_if_empty(primary_table, row)
+                        self._drop_row_if_empty(primary_table, row, rows, delta)
                     return True
                 return False
         return False
@@ -437,9 +445,17 @@ class Loader:
     def _clear_cell(self, primary_table: str, row: dict, column: int) -> None:
         self._update_cell(primary_table, row, column, None, None)
 
-    def _drop_row_if_empty(self, primary_table: str, row: dict) -> None:
+    def _drop_row_if_empty(
+        self, primary_table: str, row: dict, rows: list[dict],
+        delta: SideMetadata,
+    ) -> None:
+        """Drop ``row`` (one of the entity's ``rows``) once it holds no
+        predicate; dropping the entity's only row removes the entity."""
         if all(pred is None for pred in row["preds"]):
             self.backend.execute(ast.Delete(primary_table, _row_match(row)))
+            delta.rows -= 1
+            if len(rows) == 1:
+                delta.entities -= 1
 
     def _fetch_entity_rows(
         self, primary_table: str, entry: str, width: int

@@ -113,9 +113,6 @@ class CachedPlan:
     variables: tuple[str, ...]
     epoch: int
     compile_seconds: float = 0.0
-    #: which planner produced the join order ("hybrid", "naive", "cost", or
-    #: "cost-fallback" when low confidence reverted to the heuristic)
-    planner: str = ""
 
 
 @dataclass

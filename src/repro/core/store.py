@@ -247,33 +247,55 @@ class RdfStore:
     # ---------------------------------------------------------------- load
 
     def load_graph(self, graph: Graph, top_k_stats: int = 1000) -> LoadReport:
-        """Bulk load a graph (appends to any previously loaded data).
+        """Load a graph: bulk into an empty store, else append through
+        :meth:`add`.
 
-        Dataset statistics come out of the loader's shredding pass; on an
-        appending load they are *merged* into the existing statistics (the
-        old behaviour replaced them, silently forgetting the first batch),
-        and the epoch bump invalidates plans costed under the old numbers.
-        A load that raises aborts its bracket and leaves the store as it
-        was; inside an open transaction it marks that transaction failed.
+        An empty store with no open transaction and no journal takes the
+        loader's bulk path, whose shredding pass also collects the dataset
+        statistics (``top_k_stats`` frequent constants); the bulk path
+        writes no journal record, so :meth:`from_graph` attaches its journal
+        after the load. Otherwise every triple goes through the path
+        :meth:`add` takes, which places it beside the entity's stored rows,
+        skips duplicates and journals the write: the load joins this
+        thread's open transaction, or else runs as one transaction of its
+        own. Either way the epoch moves once, and a load that inserts
+        nothing changes nothing.
+
+        Returns the triples inserted and each side's metadata after the
+        load. A load that raises aborts its bracket and leaves the store as
+        it was; inside an open transaction it marks that transaction failed.
         """
         self._begin_write()
         try:
-            report = self.loader.bulk_load(graph, top_k_stats=top_k_stats)
-            self.direct_meta.merge(report.direct)
-            self.reverse_meta.merge(report.reverse)
-            fresh = report.stats
-            if self.stats.total_triples or self.stats.predicate_counts:
-                fresh = self.stats.merged_with(fresh)
-            fresh.epoch = self.stats.epoch + 1  # bulk load invalidates plans
-            self.stats = fresh
-            self._engine = None
+            empty = not self.stats.total_triples
+            if empty and self._txn is None and self._wal is None:
+                report = self.loader.bulk_load(graph, top_k_stats=top_k_stats)
+                self.direct_meta.merge(report.direct)
+                self.reverse_meta.merge(report.reverse)
+                report.stats.epoch = self.stats.epoch + 1  # invalidates plans
+                self.stats = report.stats
+                self._engine = None
+            else:
+                report = self._append_graph(graph)
         except BaseException:
             if self._txn is not None:  # nested in this thread's transaction
                 self._txn.state = "failed"
             self._end_write(publish=False)
             raise
-        self._end_write(publish=True)
+        self._end_write(publish=report.triples > 0)
         return report
+
+    def _append_graph(self, graph: Graph) -> LoadReport:
+        if self._txn is not None:  # ours: load_graph holds the writer bracket
+            inserted = sum(self._txn.add(triple) for triple in graph)
+        else:
+            with self.transaction() as txn:
+                inserted = sum(txn.add(triple) for triple in graph)
+        return LoadReport(
+            triples=inserted,
+            direct=self.direct_meta.copy(),
+            reverse=self.reverse_meta.copy(),
+        )
 
     # --------------------------------------------------------------- writes
 
@@ -524,17 +546,23 @@ class RdfStore:
             term_key(triple.subject),
             triple.predicate.value,
             term_key(triple.object),
+            new_subject=direct_delta.entities > 0,
+            new_object=reverse_delta.entities > 0,
         )
         self._engine = None
         return True
 
     def _apply_remove(self, triple: Triple) -> bool:
-        existed = self.loader.delete_triple(triple)
+        existed, direct_delta, reverse_delta = self.loader.delete_triple(triple)
         if existed:
+            self.direct_meta.merge(direct_delta)
+            self.reverse_meta.merge(reverse_delta)
             self.stats.unrecord_triple(
                 term_key(triple.subject),
                 triple.predicate.value,
                 term_key(triple.object),
+                gone_subject=direct_delta.entities < 0,
+                gone_object=reverse_delta.entities < 0,
             )
             self._engine = None
         return existed

@@ -7,24 +7,31 @@ directly against a graph so that every store can be checked against it.
 The graph keeps three permutation indexes (by subject, by object, and by
 predicate) which is enough for the reference evaluator and for statistics
 collection without the full hexastore machinery of the native baseline.
+
+Every index is insertion-ordered (a dict with ``None`` values, not a set),
+so iteration never depends on the string hash seed: the bulk loader packs
+an entity's predicates in the order the graph yields them, and the same
+graph then gives the same rows, spills and plans in every process.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, KeysView
 
 from .terms import Subject, Term, Triple, URI
+
+_EMPTY: dict[Triple, None] = {}
 
 
 class Graph:
     """A set of RDF triples with subject/predicate/object lookup."""
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
-        self._triples: set[Triple] = set()
-        self._by_subject: dict[Subject, set[Triple]] = defaultdict(set)
-        self._by_object: dict[Term, set[Triple]] = defaultdict(set)
-        self._by_predicate: dict[URI, set[Triple]] = defaultdict(set)
+        self._triples: dict[Triple, None] = {}
+        self._by_subject: dict[Subject, dict[Triple, None]] = defaultdict(dict)
+        self._by_object: dict[Term, dict[Triple, None]] = defaultdict(dict)
+        self._by_predicate: dict[URI, dict[Triple, None]] = defaultdict(dict)
         for triple in triples:
             self.add(triple)
 
@@ -32,20 +39,27 @@ class Graph:
         """Add a triple; returns ``False`` if it was already present."""
         if triple in self._triples:
             return False
-        self._triples.add(triple)
-        self._by_subject[triple.subject].add(triple)
-        self._by_object[triple.object].add(triple)
-        self._by_predicate[triple.predicate].add(triple)
+        self._triples[triple] = None
+        self._by_subject[triple.subject][triple] = None
+        self._by_object[triple.object][triple] = None
+        self._by_predicate[triple.predicate][triple] = None
         return True
 
     def discard(self, triple: Triple) -> bool:
-        """Remove a triple; returns ``False`` if it was not present."""
+        """Remove a triple; returns ``False`` if it was not present. A key
+        left with no triple leaves its index."""
         if triple not in self._triples:
             return False
-        self._triples.discard(triple)
-        self._by_subject[triple.subject].discard(triple)
-        self._by_object[triple.object].discard(triple)
-        self._by_predicate[triple.predicate].discard(triple)
+        del self._triples[triple]
+        for index, key in (
+            (self._by_subject, triple.subject),
+            (self._by_object, triple.object),
+            (self._by_predicate, triple.predicate),
+        ):
+            bucket = index[key]
+            del bucket[triple]
+            if not bucket:
+                del index[key]
         return True
 
     def __len__(self) -> int:
@@ -66,14 +80,14 @@ class Graph:
     def predicates(self) -> Iterable[URI]:
         return self._by_predicate.keys()
 
-    def triples_for_subject(self, subject: Subject) -> set[Triple]:
-        return self._by_subject.get(subject, set())
+    def triples_for_subject(self, subject: Subject) -> KeysView[Triple]:
+        return self._by_subject.get(subject, _EMPTY).keys()
 
-    def triples_for_object(self, obj: Term) -> set[Triple]:
-        return self._by_object.get(obj, set())
+    def triples_for_object(self, obj: Term) -> KeysView[Triple]:
+        return self._by_object.get(obj, _EMPTY).keys()
 
-    def triples_for_predicate(self, predicate: URI) -> set[Triple]:
-        return self._by_predicate.get(predicate, set())
+    def triples_for_predicate(self, predicate: URI) -> KeysView[Triple]:
+        return self._by_predicate.get(predicate, _EMPTY).keys()
 
     def match(
         self,

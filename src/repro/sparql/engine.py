@@ -27,16 +27,12 @@ from ..rdf.terms import Term, term_from_key
 from ..relational import ast as sql
 from .algebra import PatternTree, normalize
 from .ast import AskQuery, SelectQuery, TriplePattern, Var
-from .optimizer import cost as cost_model
 from .optimizer.cost import ACO, ACS, ALL_METHODS, SC
 from .optimizer.dataflow import build_data_flow_graph, optimal_flow_tree
 from .optimizer.merge import MergeContext, merge_execution_tree
 from .optimizer.planbuilder import (
     ExecNode,
-    JoinOrderPlan,
     build_execution_tree,
-    enumerate_join_orders,
-    flow_from_order,
     textual_execution_tree,
 )
 from .parser import parse_sparql
@@ -44,7 +40,7 @@ from .results import SelectResult
 from .translator.pipeline import PipelineTranslator, TripleEmitter
 
 
-OPTIMIZERS = ("hybrid", "cost", "naive")
+OPTIMIZERS = ("hybrid", "naive")
 
 
 @dataclass(frozen=True)
@@ -56,8 +52,8 @@ class EngineConfig:
     ``EngineConfig`` (e.g. via ``dataclasses.replace``) instead of mutating.
     """
 
-    #: "hybrid" (flow-guided heuristic), "cost" (statistics-driven join-order
-    #: enumeration with heuristic fallback), or "naive" (textual order)
+    #: "hybrid" (the paper's flow-guided optimizer) or "naive" (textual
+    #: order, the Figure 14 comparator)
     optimizer: str = "hybrid"
     merge: bool = True  # star-query node merging on/off
     methods: tuple[str, ...] = ALL_METHODS
@@ -122,19 +118,17 @@ class SparqlEngine:
         """Translate SPARQL (text or an already parsed/rewritten query
         object) to a SQL query; returns (sql, normalized query). Always
         compiles from scratch — :meth:`query` adds the cached fast path."""
-        compiled, select, _, _ = self._compile_stages(sparql)
+        compiled, select, _ = self._compile_stages(sparql)
         return compiled, select
 
     def _compile_stages(
         self,
         sparql: "str | SelectQuery | AskQuery",
         tracer: Tracer | None = None,
-    ) -> tuple[sql.Query, SelectQuery, dict[str, float], dict[str, Any]]:
+    ) -> tuple[sql.Query, SelectQuery, dict[str, float]]:
         """The full pipeline with per-stage wall timings (parse / plan /
-        translate) for the cache's compile-cost accounting, plus the
-        planner's decision record (which planner produced the join order,
-        its confidence and estimates). Every stage (and the planner's
-        sub-stages) opens a span of ``tracer``."""
+        translate) for the cache's compile-cost accounting. Every stage (and
+        the planner's sub-stages) opens a span of ``tracer``."""
         tracer = traced(tracer)
         started = time.perf_counter()
         with tracer.span("parse"):
@@ -146,7 +140,7 @@ class SparqlEngine:
             select = normalize(select)
         parsed_at = time.perf_counter()
         with tracer.span("plan", optimizer=self.config.optimizer):
-            plan, info = self._plan(select, tracer)
+            plan = self._plan(select, tracer)
         planned_at = time.perf_counter()
         with tracer.span("translate"):
             translator = PipelineTranslator(self.emitter)
@@ -158,7 +152,7 @@ class SparqlEngine:
             "translate": done - planned_at,
             "total": done - started,
         }
-        return compiled, select, timings, info
+        return compiled, select, timings
 
     def compile_cached(
         self, sparql: str, tracer: Tracer | None = None, epoch: int | None = None
@@ -182,13 +176,12 @@ class SparqlEngine:
             span.set("outcome", outcome)
         if entry is not None:
             return entry
-        compiled, select, timings, info = self._compile_stages(sparql, tracer)
+        compiled, select, timings = self._compile_stages(sparql, tracer)
         plan = CachedPlan(
             sql=compiled,
             variables=tuple(select.projected_variables()),
             epoch=epoch,
             compile_seconds=timings["total"],
-            planner=str(info.get("planner", self.config.optimizer)),
         )
         self.cache.store(key, fingerprint, plan)
         self.cache.record_timings(**timings)
@@ -198,12 +191,9 @@ class SparqlEngine:
         """Plan-cache counters and cumulative per-stage compile timings."""
         return self.cache.info()
 
-    def _plan(
-        self, select: SelectQuery, tracer: Tracer
-    ) -> tuple[ExecNode, dict[str, Any]]:
+    def _plan(self, select: SelectQuery, tracer: Tracer) -> ExecNode:
         pattern_tree = PatternTree.build(select.where)
         triples = select.triples()
-        info: dict[str, Any] = {"planner": self.config.optimizer}
         if self.config.optimizer == "naive":
             with tracer.span("planbuild", mode="textual"):
                 execution_tree = textual_execution_tree(
@@ -217,40 +207,11 @@ class SparqlEngine:
                     total_triples=1, distinct_subjects=1, distinct_objects=1
                 )
             )
-            flow = None
-            if self.config.optimizer == "cost":
-                with tracer.span("enumerate", triples=len(triples)):
-                    plans = enumerate_join_orders(
-                        triples, pattern_tree, stats, self.config.methods
-                    )
-                chosen = plans[0] if plans else None
-                threshold = cost_model.MIN_PLAN_CONFIDENCE
-                if chosen is not None and chosen.confidence >= threshold:
-                    flow = flow_from_order(chosen)
-                    info.update(
-                        planner="cost",
-                        confidence=chosen.confidence,
-                        est_rows=chosen.rows,
-                        est_cost=chosen.cost,
-                        alternatives=len(plans),
-                    )
-                else:
-                    # Low-confidence estimates (empty stats, variable
-                    # predicates, decayed sketches): keep the paper's
-                    # heuristic order rather than trusting guesswork.
-                    info.update(
-                        planner="cost-fallback",
-                        confidence=(
-                            chosen.confidence if chosen is not None else 0.0
-                        ),
-                        alternatives=len(plans),
-                    )
-            if flow is None:
-                with tracer.span("dataflow", triples=len(triples)):
-                    graph = build_data_flow_graph(
-                        triples, pattern_tree, stats, self.config.methods
-                    )
-                    flow = optimal_flow_tree(graph)
+            with tracer.span("dataflow", triples=len(triples)):
+                graph = build_data_flow_graph(
+                    triples, pattern_tree, stats, self.config.methods
+                )
+                flow = optimal_flow_tree(graph)
             with tracer.span("planbuild", mode="flow"):
                 execution_tree = build_execution_tree(select.where, flow)
         if self.config.merge and self.emitter.supports_merge:
@@ -258,8 +219,8 @@ class SparqlEngine:
                 ctx = MergeContext.build(
                     pattern_tree, triples, self.spill_direct, self.spill_reverse
                 )
-                return merge_execution_tree(execution_tree, ctx), info
-        return execution_tree, info
+                return merge_execution_tree(execution_tree, ctx)
+        return execution_tree
 
     def _textual_method_chooser(
         self, triple: TriplePattern, bound: frozenset[str]
@@ -296,7 +257,7 @@ class SparqlEngine:
                 plan = self.compile_cached(sparql, trace, epoch=epoch)
                 compiled, variables = plan.sql, list(plan.variables)
             else:
-                compiled, select, _, _ = self._compile_stages(sparql, trace)
+                compiled, select, _ = self._compile_stages(sparql, trace)
                 variables = select.projected_variables()
         with trace.span("execute", backend=self.backend.name) as span:
             try:
@@ -326,13 +287,10 @@ class SparqlEngine:
         return self.backend.sql_text(compiled)
 
     def explain_plan(self, sparql: str) -> str:
-        """EXPLAIN: compile configuration, generated SQL, planner cost
-        annotations (for the ``cost`` optimizer: chosen plan's estimated
-        rows, cost, confidence, and whether it fell back to the
-        heuristic), and — when the backend can describe its own access plan
-        (sqlite's ``EXPLAIN QUERY PLAN``) — the backend plan. Compiles but
-        never executes."""
-        compiled, select, _, info = self._compile_stages(sparql)
+        """EXPLAIN: compile configuration, generated SQL, and — when the
+        backend can describe its own access plan (sqlite's ``EXPLAIN QUERY
+        PLAN``) — the backend plan. Compiles but never executes."""
+        compiled, select, _ = self._compile_stages(sparql)
         config = self.config
         lines = [
             f"-- backend: {self.backend.name}",
@@ -341,70 +299,10 @@ class SparqlEngine:
             f" statistics={'on' if config.use_statistics else 'off'})",
             f"-- methods: {', '.join(config.methods)}",
             f"-- projection: {', '.join(select.projected_variables())}",
+            self.backend.sql_text(compiled),
         ]
-        if info.get("planner") == "cost":
-            lines.append(
-                "-- plan: cost-based"
-                f" (est_rows={info['est_rows']:.1f},"
-                f" est_cost={info['est_cost']:.1f},"
-                f" confidence={info['confidence']:.2f},"
-                f" alternatives={info['alternatives']})"
-            )
-        elif info.get("planner") == "cost-fallback":
-            lines.append(
-                "-- plan: heuristic fallback"
-                f" (confidence={info['confidence']:.2f}"
-                f" < min_plan_confidence={cost_model.MIN_PLAN_CONFIDENCE})"
-            )
-        lines.append(self.backend.sql_text(compiled))
         explain_backend = getattr(self.backend, "explain_query_plan", None)
         if callable(explain_backend):
             lines.append("-- backend plan:")
             lines.extend("--   " + line for line in explain_backend(compiled))
         return "\n".join(lines)
-
-    # --------------------------------------------- plan-quality instruments
-
-    def plan_alternatives(
-        self, sparql: "str | SelectQuery", limit: int = 8
-    ) -> tuple[SelectQuery, list[JoinOrderPlan]]:
-        """Parse once and enumerate up to ``limit`` ranked join orders.
-
-        The instrument behind the plan-quality battery: each returned
-        order can be compiled with :meth:`compile_with_order` (sharing
-        this one parsed/normalized select) and executed to measure the
-        chosen plan's regret against the best alternative.
-        """
-        parsed = parse_sparql(sparql) if isinstance(sparql, str) else sparql
-        if isinstance(parsed, AskQuery):
-            parsed = SelectQuery(variables=None, where=parsed.where, limit=1)
-        select = normalize(parsed)
-        pattern_tree = PatternTree.build(select.where)
-        plans = enumerate_join_orders(
-            select.triples(),
-            pattern_tree,
-            self.stats,
-            self.config.methods,
-            limit=limit,
-        )
-        return select, plans
-
-    def compile_with_order(
-        self, select: SelectQuery, plan: JoinOrderPlan
-    ) -> sql.Query:
-        """Compile an already-normalized select under a specific enumerated
-        join order (the rest of the pipeline — plan build, merge,
-        translation — is the production one)."""
-        flow = flow_from_order(plan)
-        execution_tree = build_execution_tree(select.where, flow)
-        if self.config.merge and self.emitter.supports_merge:
-            pattern_tree = PatternTree.build(select.where)
-            ctx = MergeContext.build(
-                pattern_tree,
-                select.triples(),
-                self.spill_direct,
-                self.spill_reverse,
-            )
-            execution_tree = merge_execution_tree(execution_tree, ctx)
-        translator = PipelineTranslator(self.emitter)
-        return translator.translate(execution_tree, select)

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ...core.stats import DatasetStatistics
-from ..algebra import PatternTree
 from ..ast import (
     FilterExpr,
     GroupPattern,
@@ -23,8 +21,7 @@ from ..ast import (
     TriplePattern,
     UnionPattern,
 )
-from .cost import ALL_METHODS, CardinalityEstimator, required_vars
-from .dataflow import FlowNode, FlowTree
+from .dataflow import FlowTree
 
 
 @dataclass(eq=False)
@@ -228,182 +225,6 @@ def build_execution_tree(group: GroupPattern, flow: FlowTree) -> ExecNode:
     if group.filters:
         tree = FilterNode(tree, list(group.filters))
     return tree
-
-
-# --------------------------------------------------------------------------
-# Cost-based join-order enumeration
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JoinOrderPlan:
-    """One enumerated join order: the (triple, method) sequence plus the
-    estimator's verdict on it. ``cost`` is the work metric the orders are
-    ranked by — estimated rows read by the accesses plus rows produced by
-    every intermediate join (the classic ``C_out`` flavour)."""
-
-    order: tuple[FlowNode, ...]
-    cost: float
-    rows: float
-    confidence: float
-
-    def describe(self) -> str:
-        steps = " -> ".join(f"{node.triple} [{node.method}]" for node in self.order)
-        return (
-            f"cost={self.cost:.1f} rows={self.rows:.1f} "
-            f"confidence={self.confidence:.2f}: {steps}"
-        )
-
-
-#: exhaustive (subset-DP) enumeration up to this many triples; larger
-#: conjuncts use a greedy beam over the same cost model
-DP_LIMIT = 8
-#: orders kept per DP subset / beam slots — enough diversity to escape the
-#: classic greedy trap without exploding the search
-BEAM_WIDTH = 3
-
-
-def enumerate_join_orders(
-    triples: list[TriplePattern],
-    tree: PatternTree,
-    stats: DatasetStatistics,
-    methods: tuple[str, ...] = ALL_METHODS,
-    limit: int = 5,
-    beam: int = BEAM_WIDTH,
-    dp_limit: int = DP_LIMIT,
-) -> list[JoinOrderPlan]:
-    """Enumerate join orders bottom-up and rank them by estimated cost.
-
-    Validity mirrors the data-flow graph (Def. 3.8 with the paper's two
-    exclusions): a lookup may only consume variables produced by earlier
-    triples that are neither OR-connected to it nor optional with respect
-    to it. For each candidate triple the cheapest valid access method is
-    taken; up to ``beam`` orders survive per DP subset (or per beam step
-    beyond ``dp_limit`` triples). Returns the best ``limit`` complete
-    orders, cheapest first — empty when no complete valid order exists
-    (restricted method menus), which callers treat as "fall back".
-
-    Everything here is a deterministic function of the inputs: ties break
-    on the (index, method) sequence itself.
-    """
-    if not triples:
-        return []
-    estimator = CardinalityEstimator(stats)
-    n = len(triples)
-
-    def feeds(producer_index: int, consumer: TriplePattern) -> bool:
-        producer = triples[producer_index]
-        if producer is consumer:
-            return False
-        if tree.or_connected(producer, consumer):
-            return False
-        if tree.optional_connected(consumer, producer):
-            return False
-        return True
-
-    def best_method(
-        placed: frozenset[int], state, index: int
-    ) -> tuple[float, str] | None:
-        """Cheapest valid access for the triple given what is bound."""
-        triple = triples[index]
-        available: set[str] | None = None
-        best: tuple[float, str] | None = None
-        for method in methods:
-            needed = required_vars(triple, method)
-            if needed:
-                if available is None:
-                    available = set()
-                    for i in placed:
-                        if feeds(i, triple):
-                            available.update(triples[i].variables())
-                if not needed <= available:
-                    continue
-            access = estimator.access_cost(triple, method, state)
-            if best is None or access < best[0]:
-                best = (access, method)
-        return best
-
-    Entry = tuple[float, tuple[tuple[int, str], ...], object]
-    start: Entry = (0.0, (), estimator.fresh_state())
-
-    if n <= dp_limit:
-        frontier: dict[frozenset[int], list[Entry]] = {frozenset(): [start]}
-        for _ in range(n):
-            grown: dict[frozenset[int], list[Entry]] = {}
-            for subset, entries in frontier.items():
-                for cost, order, state in entries:
-                    for index in range(n):
-                        if index in subset:
-                            continue
-                        step = best_method(subset, state, index)
-                        if step is None:
-                            continue
-                        access, method = step
-                        new_state = estimator.extend(state, triples[index])
-                        grown.setdefault(subset | {index}, []).append(
-                            (
-                                cost + access + new_state.rows,
-                                order + ((index, method),),
-                                new_state,
-                            )
-                        )
-            for bucket in grown.values():
-                bucket.sort(key=lambda entry: (entry[0], entry[1]))
-                del bucket[beam:]
-            frontier = grown
-        complete = frontier.get(frozenset(range(n)), [])
-    else:
-        width = max(beam, limit)
-        alive: list[Entry] = [start]
-        for _ in range(n):
-            grown_list: list[Entry] = []
-            for cost, order, state in alive:
-                subset = frozenset(i for i, _ in order)
-                for index in range(n):
-                    if index in subset:
-                        continue
-                    step = best_method(subset, state, index)
-                    if step is None:
-                        continue
-                    access, method = step
-                    new_state = estimator.extend(state, triples[index])
-                    grown_list.append(
-                        (
-                            cost + access + new_state.rows,
-                            order + ((index, method),),
-                            new_state,
-                        )
-                    )
-            grown_list.sort(key=lambda entry: (entry[0], entry[1]))
-            alive = grown_list[:width]
-        complete = [entry for entry in alive if len(entry[1]) == n]
-
-    complete.sort(key=lambda entry: (entry[0], entry[1]))
-    plans = []
-    for cost, order, state in complete[:limit]:
-        plans.append(
-            JoinOrderPlan(
-                order=tuple(
-                    FlowNode(triples[index], method) for index, method in order
-                ),
-                cost=cost,
-                rows=state.rows,
-                confidence=state.confidence,
-            )
-        )
-    return plans
-
-
-def flow_from_order(plan: JoinOrderPlan) -> FlowTree:
-    """Materialize an enumerated order as a :class:`FlowTree` chain, so the
-    unchanged plan builder (:func:`build_execution_tree`) consumes it: the
-    chain position becomes the flow rank, the chosen method the access."""
-    flow = FlowTree()
-    previous: FlowNode | None = None
-    for node in plan.order:
-        flow.add(node, previous)
-        previous = node
-    return flow
 
 
 def textual_execution_tree(group: GroupPattern, method_chooser) -> ExecNode:

@@ -7,6 +7,12 @@ identical results, because ids are decoded back to terms at the result
 boundary and all comparisons happen inside one store's id space.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import RdfStore
@@ -83,3 +89,52 @@ def test_ids_actually_differ_between_orders():
     assert sorted(first.query(sparql).key_rows()) == sorted(
         second.query(sparql).key_rows()
     )
+
+
+#: Builds the battery store without coloring in a fresh interpreter and
+#: prints its DPH/RPH rows plus each battery query's budget ticks.
+_LAYOUT_PROBE = """
+import json
+from repro import RdfStore
+from repro.core.resilience import Budget
+from repro.relational import ast
+from repro.workloads import planbattery
+
+store = RdfStore.from_graph(planbattery.generate().graph, use_coloring=False)
+tables = {}
+for table in (store.schema.dph, store.schema.rph):
+    query = ast.Select(
+        items=(ast.SelectItem.star(),), from_=ast.TableRef(table, "T")
+    )
+    tables[table] = sorted(map(repr, store.backend.execute(query)[1]))
+ticks = {}
+for name, sparql in sorted(planbattery.queries().items()):
+    budget = Budget(max_intermediate_rows=10**9)
+    store.engine.query(sparql, budget=budget)
+    ticks[name] = budget.ticks
+print(json.dumps({"tables": tables, "ticks": ticks}))
+"""
+
+
+def _layout_under_seed(seed: str) -> dict:
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    path = os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _LAYOUT_PROBE],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def test_layout_independent_of_hash_seed():
+    """The graph yields each entity's triples in insertion order, so the
+    bulk loader packs predicates, and spills them, the same way under any
+    string hash seed: the DPH/RPH rows and the work of every battery plan
+    match across processes."""
+    first = _layout_under_seed("1")
+    second = _layout_under_seed("2")
+    assert first["tables"] == second["tables"]
+    assert first["ticks"] == second["ticks"]

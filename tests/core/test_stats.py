@@ -1,7 +1,13 @@
 """Dataset statistics for the optimizer (§3.1)."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import MiniRelBackend, RdfStore, SqliteBackend
 from repro.core.stats import DatasetStatistics
-from repro.rdf.terms import URI
+from repro.rdf.graph import Graph
+from repro.rdf.terms import Literal, Triple, URI
+from repro.workloads import planbattery
 
 
 class TestFromGraph:
@@ -72,3 +78,115 @@ class TestIncrementalMaintenance:
         assert stats.total_triples == 22
         assert stats.top_subjects["IBM"] == 6
         assert stats.predicate_counts["industry"] == 6
+
+
+class TestExactMaintenance:
+    @pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
+    def test_counts_match_a_fresh_collection(self, backend_factory):
+        """Adds, deletes and an overlapping appending load keep the triple,
+        distinct-entity and predicate counts equal to statistics collected
+        afresh from the graph the store now holds."""
+        data = planbattery.generate()
+        b = planbattery.PB.base
+        truth = Graph(data.graph)
+        store = RdfStore.from_graph(data.graph, backend=backend_factory())
+
+        def add(triple):
+            assert store.add(triple) == truth.add(triple)
+
+        def remove(triple):
+            assert store.remove(triple) == truth.discard(triple)
+
+        knows, nick = URI(f"{b}knows"), URI(f"{b}nick")
+        for i in range(300):  # new subjects, stored objects
+            add(Triple(URI(f"{b}new{i}"), knows, URI(f"{b}person{i}")))
+        add(Triple(URI(f"{b}person0"), nick, Literal("zero")))  # new object
+        add(next(iter(data.graph)))  # duplicate
+        for triple in list(truth.triples_for_subject(URI(f"{b}person5"))):
+            remove(triple)  # drops the subject, and its unique literals
+        remove(Triple(URI(f"{b}new7"), knows, URI(f"{b}person7")))
+        remove(Triple(URI(f"{b}nobody"), knows, URI(f"{b}person1")))  # absent
+        appended = Graph(list(data.graph)[:50])  # overlaps stored triples
+        for i in range(40):
+            appended.add(Triple(URI(f"{b}late{i % 10}"), nick, Literal(f"n{i}")))
+        store.load_graph(appended)
+        for triple in appended:
+            truth.add(triple)
+
+        fresh = DatasetStatistics.from_graph(truth)
+        stats = store.stats
+        assert (
+            stats.total_triples, stats.distinct_subjects, stats.distinct_objects
+        ) == (fresh.total_triples, fresh.distinct_subjects, fresh.distinct_objects)
+        live = {p: n for p, n in stats.predicate_counts.items() if n}
+        assert live == fresh.predicate_counts
+        report = store.report()
+        assert report.direct.entities == fresh.distinct_subjects
+        assert report.reverse.entities == fresh.distinct_objects
+
+
+BASE = "http://example.org/est/"
+PREDICATES = [f"{BASE}p{i}" for i in range(3)]
+
+# Small random edge lists: (subject index, predicate index, object index).
+edges = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def make_graph(edge_list) -> Graph:
+    return Graph(
+        Triple(URI(f"{BASE}s{s}"), URI(PREDICATES[p]), URI(f"{BASE}o{o}"))
+        for s, p, o in edge_list
+    )
+
+
+def probes(edge_list):
+    """Every subject and object constant of the edge list, with and
+    without a constant predicate, plus the variable position."""
+    for s, p, o in edge_list:
+        for predicate in (None, PREDICATES[p]):
+            yield "subject", URI(f"{BASE}s{s}"), predicate
+            yield "object", URI(f"{BASE}o{o}"), predicate
+    yield "subject", None, None
+    yield "object", None, None
+
+
+def cardinality(stats, position, term, predicate) -> float:
+    if position == "subject":
+        return stats.subject_cardinality(term, predicate)
+    return stats.object_cardinality(term, predicate)
+
+
+class TestEstimateProperties:
+    @given(edges)
+    @settings(max_examples=80, deadline=None)
+    def test_top_k_constants_are_exact(self, edge_list):
+        """Figure 6b: a constant inside the retained top-k is priced at its
+        true triple count."""
+        graph = make_graph(edge_list)
+        stats = DatasetStatistics.from_graph(graph)
+        for s, _, o in edge_list:
+            subject, obj = URI(f"{BASE}s{s}"), URI(f"{BASE}o{o}")
+            assert stats.subject_cardinality(subject) == len(
+                graph.triples_for_subject(subject)
+            )
+            assert stats.object_cardinality(obj) == len(
+                graph.triples_for_object(obj)
+            )
+
+    @given(edges)
+    @settings(max_examples=60, deadline=None)
+    def test_estimates_independent_of_insertion_order(self, edge_list):
+        """Same data, independent builds, reversed insertion order: every
+        cardinality is identical, so plans are reproducible."""
+        first = DatasetStatistics.from_graph(make_graph(edge_list))
+        second = DatasetStatistics.from_graph(make_graph(reversed(edge_list)))
+        for probe in probes(edge_list):
+            assert cardinality(first, *probe) == cardinality(second, *probe)

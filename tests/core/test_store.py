@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import RdfStore, SqliteBackend, Triple, URI
+from repro import Graph, MiniRelBackend, RdfStore, SqliteBackend, Triple, URI
 from repro.core.mapping import ColoringMapper
+from repro.rdf.terms import Literal
 from repro.sparql import query_graph
+from repro.workloads import planbattery
 
 from ..conftest import FIGURE6_QUERY
 
@@ -120,3 +122,69 @@ class TestExplain:
             "SELECT ?hq ?n WHERE { <IBM> <HQ> ?hq . <IBM> <employees> ?n }"
         )
         assert sql.count('"DPH"') == 1
+
+
+@pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
+class TestAppendingLoad:
+    """``load_graph`` on a loaded store goes through the path ``add`` takes:
+    placement beside stored rows, duplicate detection and the journal."""
+
+    def test_appended_predicate_joins_stored_entities(self, backend_factory):
+        data = planbattery.generate()
+        b = planbattery.PB.base
+        store = RdfStore.from_graph(data.graph, backend=backend_factory())
+        nicks = Graph(
+            Triple(URI(f"{b}person{i}"), URI(f"{b}nick"), Literal(f"p{i}"))
+            for i in range(200)
+        )
+        store.load_graph(nicks)
+        query = f"SELECT ?p ?k WHERE {{ ?p <{b}name> ?n . ?p <{b}nick> ?k }}"
+        assert len(store.query(query)) == 200
+
+    def test_reloading_the_same_graph_changes_nothing(self, backend_factory):
+        data = planbattery.generate()
+        store = RdfStore.from_graph(data.graph, backend=backend_factory())
+        epoch = store.stats.epoch
+        store.load_graph(data.graph)
+        assert len(store.query("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")) == len(
+            data.graph
+        )
+        assert store.stats.total_triples == len(data.graph)
+        assert store.stats.epoch == epoch  # nothing changed, plans stay warm
+
+    def test_load_inside_a_transaction_commits_with_it(self, backend_factory):
+        """Even into an empty store, a load inside an open transaction is
+        part of that transaction: its commit publishes the triples."""
+        store = RdfStore(backend=backend_factory())
+        with store.transaction():
+            store.load_graph(Graph([Triple(URI("a"), URI("p"), URI("b"))]))
+        assert len(store.query("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")) == 1
+        assert store.stats.total_triples == 1
+
+    def test_appended_triple_survives_wal_reopen(
+        self, backend_factory, fig1_graph, tmp_path
+    ):
+        wal = tmp_path / "journal"
+        store = RdfStore.from_graph(
+            fig1_graph, backend=backend_factory(), wal_path=wal
+        )
+        store.load_graph(Graph([Triple(URI("IBM"), URI("founded"), URI("1911"))]))
+        store.wal.close()
+        reopened = RdfStore.from_graph(
+            fig1_graph, backend=backend_factory(), wal_path=wal
+        )
+        result = reopened.query("SELECT ?y WHERE { <IBM> <founded> ?y }")
+        assert result.key_rows() == [("1911",)]
+
+    def test_load_into_an_empty_journalled_store_survives_reopen(
+        self, backend_factory, fig1_graph, tmp_path
+    ):
+        wal = tmp_path / "journal"
+        store = RdfStore(backend=backend_factory(), wal_path=wal)
+        store.load_graph(fig1_graph)
+        store.wal.close()
+        reopened = RdfStore(backend=backend_factory(), wal_path=wal)
+        assert reopened.stats.total_triples == len(fig1_graph)
+        assert reopened.query(FIGURE6_QUERY).matches(
+            query_graph(fig1_graph, FIGURE6_QUERY)
+        )

@@ -1,13 +1,12 @@
 """Shared fixtures for the plan-quality battery.
 
 One battery graph, loaded once per session into the stores the harnesses
-compare: the cost-based planner, the heuristic hybrid planner, and a
-sqlite-backed baseline.
+compare: the hybrid optimizer on minirel and on sqlite.
 """
 
 import pytest
 
-from repro import EngineConfig, RdfStore, SqliteBackend
+from repro import RdfStore, SqliteBackend
 from repro.workloads import planbattery
 
 
@@ -22,15 +21,6 @@ def battery_queries():
 
 
 @pytest.fixture(scope="session")
-def cost_store(battery_data):
-    return RdfStore.from_graph(
-        battery_data.graph,
-        use_coloring=False,
-        config=EngineConfig(optimizer="cost"),
-    )
-
-
-@pytest.fixture(scope="session")
 def hybrid_store(battery_data):
     return RdfStore.from_graph(battery_data.graph, use_coloring=False)
 
@@ -39,14 +29,4 @@ def hybrid_store(battery_data):
 def sqlite_store(battery_data):
     return RdfStore.from_graph(
         battery_data.graph, backend=SqliteBackend(), use_coloring=False
-    )
-
-
-@pytest.fixture(scope="session")
-def sqlite_cost_store(battery_data):
-    return RdfStore.from_graph(
-        battery_data.graph,
-        backend=SqliteBackend(),
-        use_coloring=False,
-        config=EngineConfig(optimizer="cost"),
     )

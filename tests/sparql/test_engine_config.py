@@ -59,5 +59,7 @@ class TestStatsToggle:
 
 
 def test_unknown_optimizer_is_rejected():
-    with pytest.raises(ValueError, match="hybrid, cost, naive"):
+    with pytest.raises(ValueError, match="hybrid, naive"):
         EngineConfig(optimizer="costs")
+    with pytest.raises(ValueError, match="hybrid, naive"):
+        EngineConfig(optimizer="cost")

@@ -194,13 +194,26 @@ class TestUsageErrors:
 # ------------------------------------------------------ failed writes
 
 def _bulk_load(store) -> None:
-    """Append a small graph with multi-valued cells on both sides."""
+    """Append a small graph with multi-valued cells on both sides. The
+    store is loaded, so the graph goes through the add path as one
+    transaction."""
     store.load_graph(Graph([
         t("Ada", "founder", "Engines"),
         t("Ada", "founder", "Lovelace_Co"),
         t("Grace", "founder", "Engines"),
         t("Ada", "born", "1815"),
     ]))
+
+
+def _append_in_txn(store) -> None:
+    """An appending load that joins an open transaction after a write of
+    its own: a fault in either rolls both back."""
+    with store.transaction() as txn:
+        txn.add(t("Ada", "born", "1815"))
+        store.load_graph(Graph([
+            t("Ada", "founder", "Engines"),
+            t("Grace", "founder", "Engines"),
+        ]))
 
 
 def _batch(store) -> None:
@@ -216,7 +229,8 @@ def _batch(store) -> None:
 #: one write per loader path: fresh entities on both sides, a spill row
 #: plus a free reverse cell, a single value upgraded to a multi-valued
 #: lid, and a delete that demotes a lid back to a single value on both
-#: sides; then a bulk load and a multi-write transaction
+#: sides; then an appending load, standalone and inside a transaction, and
+#: a multi-write transaction
 FAILING_WRITES = {
     "add_fresh": lambda store: store.add(t("Ada", "founder", "Engines")),
     "add_spill": lambda store: store.add(t("Google", "home", "Software")),
@@ -225,6 +239,7 @@ FAILING_WRITES = {
         "DELETE DATA { <Google> <industry> <Software> }"
     ),
     "bulk_load": _bulk_load,
+    "append_in_txn": _append_in_txn,
     "batch": _batch,
 }
 
