@@ -8,6 +8,8 @@ where it has one, and its emitter (:meth:`RelationalLayout._emitter`).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..backends import Backend, MiniRelBackend
 from ..core import sqlfunctions  # noqa: F401
 from ..core.querycache import CacheInfo, QueryCache
@@ -42,7 +44,14 @@ class RelationalLayout:
         return store
 
     def load_graph(self, graph: Graph, top_k_stats: int = 1000) -> None:
+        """Store ``graph`` beside what the layout holds; a new plan epoch.
+
+        Into an empty layout the statistics are collected from ``graph``;
+        a later load folds its triples in as :meth:`_count_added` does."""
         self._store_graph(graph)
+        if self.stats.total_triples:
+            self._count_added(graph)
+            return
         fresh = DatasetStatistics.from_graph(graph, top_k=top_k_stats)
         fresh.epoch = self.stats.epoch + 1  # invalidates cached plans
         self.stats = fresh
@@ -56,16 +65,19 @@ class RelationalLayout:
         """The translator back half that targets this layout's schema."""
         raise NotImplementedError
 
-    def _count_added(self, triple: Triple) -> None:
-        """Fold one added triple into the statistics (new plan epoch).
+    def _count_added(self, triples: Iterable[Triple]) -> None:
+        """Fold added triples into the statistics (one new plan epoch).
 
         The layouts' ``add`` is a blind insert that cannot tell a new
         subject or object from a stored one, so it counts neither as new:
         the triple and predicate counts stay exact, the distinct counts
         keep their last loaded values."""
-        self.stats.record_triple(
-            term_key(triple.subject), triple.predicate.value, term_key(triple.object)
-        )
+        for triple in triples:
+            self.stats.record_triple(
+                term_key(triple.subject),
+                triple.predicate.value,
+                term_key(triple.object),
+            )
         self.stats.bump_epoch()
         self._engine = None
 

@@ -132,7 +132,7 @@ class TripleStore(RelationalLayout):
 
     def add(self, triple: Triple) -> None:
         self.backend.insert_many(self.table, [_row(triple)])
-        self._count_added(triple)
+        self._count_added([triple])
 
     def _emitter(self) -> TripleTableEmitter:
         return TripleTableEmitter(self.table)

@@ -229,7 +229,7 @@ class VerticalStore(RelationalLayout):
             self._table_for(triple.predicate.value),
             [(term_key(triple.subject), term_key(triple.object))],
         )
-        self._count_added(triple)
+        self._count_added([triple])
 
     def _emitter(self) -> VerticalEmitter:
         return VerticalEmitter(self.tables)

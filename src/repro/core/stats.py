@@ -33,6 +33,9 @@ class DatasetStatistics:
     top_subjects: dict[str, int] = field(default_factory=dict)
     top_objects: dict[str, int] = field(default_factory=dict)
     predicate_counts: dict[str, int] = field(default_factory=dict)
+    #: Capacity of ``top_subjects`` / ``top_objects``: the ``top_k`` they
+    #: were collected with (0 = no top-k collected, nothing admitted).
+    top_k: int = 0
     #: Monotonically increasing data-change version. Store mutations bump it;
     #: the plan cache records the epoch each plan was compiled under and
     #: invalidates entries whose epoch no longer matches.
@@ -143,6 +146,11 @@ class DatasetStatistics:
     ) -> None:
         """Count one inserted triple (``RdfStore.add``).
 
+        A top-k map that holds fewer than ``top_k`` keys holds every key
+        with a non-zero count, so a key absent from it had count 0 and is
+        admitted at 1: the map stays exact. A full map only counts up keys
+        it already holds; a constant outside it keeps the average.
+
         ``new_subject`` / ``new_object`` are the loader's entity delta: the
         write created the subject's (object's) first row. A caller that
         cannot tell, such as the §2 layouts' blind ``add``, passes neither,
@@ -150,12 +158,16 @@ class DatasetStatistics:
         """
         self.total_triples += 1
         self.predicate_counts[predicate] = self.predicate_counts.get(predicate, 0) + 1
-        if subject_key in self.top_subjects:
-            self.top_subjects[subject_key] += 1
-        if object_key in self.top_objects:
-            self.top_objects[object_key] += 1
+        self._count_up(self.top_subjects, subject_key)
+        self._count_up(self.top_objects, object_key)
         self.distinct_subjects += new_subject
         self.distinct_objects += new_object
+
+    def _count_up(self, top: dict[str, int], key: str) -> None:
+        if key in top:
+            top[key] += 1
+        elif len(top) < self.top_k:
+            top[key] = 1
 
     def unrecord_triple(
         self, subject_key: str, predicate: str, object_key: str,
@@ -208,4 +220,5 @@ class StatsCollector:
             top_subjects=dict(self._subject_counts.most_common(self.top_k)),
             top_objects=dict(self._object_counts.most_common(self.top_k)),
             predicate_counts=dict(self._predicate_counts),
+            top_k=self.top_k,
         )

@@ -58,6 +58,24 @@ class HashIndex:
             except ValueError:
                 pass
 
+    def live_ids(self, key: tuple) -> list[int]:
+        """Ids of the latest-state rows whose indexed columns equal ``key``.
+
+        A list, not a generator: a statement that writes the rows must hold
+        every id before its first write, because an MVCC
+        :meth:`Table.update_row` appends the new version's id to this same
+        bucket."""
+        self.probe_count += 1
+        bucket = self._buckets.get(key)
+        if not bucket:
+            return []
+        rows, died = self.table.rows, self.table.died
+        return [
+            row_id
+            for row_id in bucket
+            if rows[row_id] is not None and row_id not in died
+        ]
+
     def lookup(self, key: tuple, version: int | None = None) -> Iterable[tuple]:
         """Yield rows whose indexed columns equal ``key``, visible at
         ``version`` (``None`` = the latest state)."""

@@ -122,42 +122,56 @@ def _run_insert(db: Database, statement: ast.Insert) -> QueryResult:
 
 def _run_delete(db: Database, statement: ast.Delete) -> QueryResult:
     table = db.table(statement.table)
-    scope = Scope([(table.name, c) for c in table.schema.column_names])
-    condition = (
-        compile_expr(statement.where, scope) if statement.where is not None else None
-    )
-    doomed = [
-        row_id
-        for row_id, row in table.scan_with_ids()
-        if condition is None or condition(row) is True
-    ]
-    for row_id in doomed:
+    doomed = _target_rows(table, _table_scope(table), statement.where)
+    for row_id, _ in doomed:
         table.delete_row(row_id)
     return QueryResult(["rowcount"], [(len(doomed),)])
 
 
 def _run_update(db: Database, statement: ast.Update) -> QueryResult:
     table = db.table(statement.table)
-    scope = Scope([(table.name, c) for c in table.schema.column_names])
-    condition = (
-        compile_expr(statement.where, scope) if statement.where is not None else None
-    )
+    scope = _table_scope(table)
     setters = [
         (table.schema.position(column), compile_expr(value, scope))
         for column, value in statement.assignments
     ]
-    touched = 0
     updates: list[tuple[int, list]] = []
-    for row_id, row in table.scan_with_ids():
-        if condition is None or condition(row) is True:
-            new_row = list(row)
-            for position, setter in setters:
-                new_row[position] = setter(row)
-            updates.append((row_id, new_row))
+    for row_id, row in _target_rows(table, scope, statement.where):
+        new_row = list(row)
+        for position, setter in setters:
+            new_row[position] = setter(row)
+        updates.append((row_id, new_row))
     for row_id, new_row in updates:
         table.update_row(row_id, new_row)
-        touched += 1
-    return QueryResult(["rowcount"], [(touched,)])
+    return QueryResult(["rowcount"], [(len(updates),)])
+
+
+def _table_scope(table: Table) -> Scope:
+    return Scope([(table.name, c) for c in table.schema.column_names])
+
+
+def _target_rows(
+    table: Table, scope: Scope, where: ast.Expr | None
+) -> list[tuple[int, Row]]:
+    """The ``(row id, row)`` pairs a DELETE / UPDATE ``where`` selects.
+
+    The access path is a single-table SELECT's (:meth:`Planner._apply_local`):
+    a ``col = const`` conjunct covering a hash index probes it, and the other
+    conjuncts run on the bucket's rows only; with no such conjunct the
+    whole WHERE runs over a scan. Every id is collected before the caller's
+    first write."""
+    conjuncts = ast.split_conjuncts(where)
+    match = _find_const_index_lookup(table, scope, conjuncts)
+    if match is None:
+        candidates: Iterable[tuple[int, Row]] = table.scan_with_ids()
+    else:
+        index, key, conjuncts = match
+        rows = table.rows
+        candidates = [(row_id, rows[row_id]) for row_id in index.live_ids(key)]
+    if not conjuncts:
+        return list(candidates)
+    condition = compile_expr(ast.conjoin(conjuncts), scope)
+    return [(row_id, row) for row_id, row in candidates if condition(row) is True]
 
 
 class Planner:

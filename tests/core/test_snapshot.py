@@ -14,8 +14,9 @@ import threading
 
 import pytest
 
-from repro import RdfStore, SqliteBackend
+from repro import MiniRelBackend, RdfStore, SqliteBackend
 from repro.core.concurrency import SnapshotClosedError
+from repro.relational import ColumnType
 from repro.update.errors import TransactionError
 
 from ..conftest import figure1_graph
@@ -217,3 +218,96 @@ def test_snapshot_usable_from_another_thread(store):
     thread.join(10)
     snap.close()
     assert outcome["seen"] == {"Software", "Internet"}
+
+
+# ----------------------------------------- index-probed DML under MVCC
+
+#: every WHERE pins the indexed column ``k``: minirel probes ``t_k`` and
+#: runs the rest on the bucket. The third statement revisits the ``a``
+#: bucket after the first re-versioned two of its rows.
+PROBED_WRITES = (
+    "UPDATE t SET n = n + 10 WHERE k = 'a' AND n < 3",
+    "DELETE FROM t WHERE k = 'b' AND n > 1",
+    "UPDATE t SET n = n + 100 WHERE k = 'a'",
+)
+TABLE_ROWS = [("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 5)]
+
+
+def _indexed_table(backend_factory):
+    backend = backend_factory()
+    backend.create_table("t", [("k", ColumnType.TEXT), ("n", ColumnType.INTEGER)])
+    backend.create_index("t_k", "t", ["k"])
+    backend.insert_many("t", TABLE_ROWS)
+    return backend
+
+
+def _table_rows(backend, snapshot=None) -> list[tuple]:
+    return sorted(backend.execute("SELECT k, n FROM t", snapshot=snapshot)[1])
+
+
+def _probe_state(backend) -> tuple:
+    """Per key, the row ids minirel's index files under it (sqlite: none)."""
+    if backend.name != "minirel":
+        return ()
+    index = backend.db.indexes["t_k"]
+    return tuple(sorted(
+        (int(key[0]), tuple(sorted(ids)))
+        for key, ids in index._buckets.items() if ids
+    ))
+
+
+@pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
+def test_index_probed_writes_under_a_pinned_snapshot(backend_factory):
+    """The snapshot keeps the old rows; each row is written once, so the
+    versions an UPDATE appends to the probed bucket are never revisited;
+    once the snapshot closes, the next bracket collects every version."""
+    backend = _indexed_table(backend_factory)
+    before = _table_rows(backend)
+    snap = backend.open_snapshot()
+    try:
+        backend.begin_write()
+        for statement in PROBED_WRITES:
+            backend.execute(statement)
+        backend.commit_write()
+        assert _table_rows(backend, snap) == before
+        assert _table_rows(backend) == [
+            ("a", 103), ("a", 111), ("a", 112), ("b", 1),
+        ]
+        assert sorted(backend.execute("SELECT n FROM t WHERE k = 'a'")[1]) == [
+            (103,), (111,), (112,),
+        ]
+    finally:
+        snap.release()
+    if backend.name == "minirel":
+        index = backend.db.indexes["t_k"]
+        assert index.probe_count == len(PROBED_WRITES) + 1
+        backend.begin_write()
+        backend.commit_write()
+        table = backend.db.table("t")
+        assert not table.born and not table.died
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])
+def test_aborted_index_probed_writes_restore_rows_and_buckets(
+    backend_factory, pinned
+):
+    """The same writes in an aborted bracket, with and without a pinned
+    snapshot (logical versions vs in-place before-images): the table and
+    every index bucket are as before the bracket."""
+    backend = _indexed_table(backend_factory)
+    before, buckets = _table_rows(backend), _probe_state(backend)
+    snap = backend.open_snapshot() if pinned else None
+    try:
+        backend.begin_write()
+        for statement in PROBED_WRITES:
+            backend.execute(statement)
+        backend.abort_write()
+        assert _table_rows(backend) == before
+        assert _probe_state(backend) == buckets
+        assert sorted(backend.execute("SELECT n FROM t WHERE k = 'a'")[1]) == [
+            (1,), (2,), (3,),
+        ]
+    finally:
+        if snap is not None:
+            snap.release()

@@ -79,6 +79,32 @@ class TestIncrementalMaintenance:
         assert stats.top_subjects["IBM"] == 6
         assert stats.predicate_counts["industry"] == 6
 
+    def test_full_top_k_admits_no_new_key(self, fig1_graph):
+        stats = DatasetStatistics.from_graph(fig1_graph, top_k=2)
+        stats.record_triple("Newcomer", "industry", "Elsewhere")
+        assert "Newcomer" not in stats.top_subjects
+        assert "Elsewhere" not in stats.top_objects
+        assert len(stats.top_subjects) == 2
+
+    def test_copy_keeps_the_capacity(self, fig1_graph):
+        stats = DatasetStatistics.from_graph(fig1_graph, top_k=7)
+        assert stats.top_k == 7
+        assert stats.copy().top_k == 7
+
+    def test_a_subject_grown_after_the_load_is_priced_exactly(self):
+        """The battery store fills 673 of its 1,000 top-k slots, so a
+        subject that first appears after the load is admitted and counted:
+        its estimate is its count, not the per-subject average."""
+        data = planbattery.generate()
+        store = RdfStore.from_graph(data.graph)
+        assert len(store.stats.top_subjects) < store.stats.top_k == 1000
+        hub = URI(f"{planbattery.PB.base}hub")
+        with store.transaction() as txn:
+            for i in range(100):
+                txn.add(Triple(hub, URI(f"{planbattery.PB.base}knows"),
+                               URI(f"{planbattery.PB.base}person{i}")))
+        assert store.stats.subject_cardinality(hub) == 100.0
+
 
 class TestExactMaintenance:
     @pytest.mark.parametrize("backend_factory", [MiniRelBackend, SqliteBackend])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core.resilience import (
     FaultPlan,
     TransientFaultError,
 )
+from repro.relational.table import Table
 from repro.update import TransactionError
 
 from ..conftest import figure1_graph
@@ -317,6 +319,54 @@ def test_failed_write_allows_only_rollback(backend_factory):
         txn.add(t("Grace", "founder", "COBOL_Inc"))
     txn.rollback()
     assert _state(store) == before
+
+
+BENCH = "http://example.org/bench/"
+#: the shape of the served benchmark's writes: one fresh 5-triple entity
+ENTITY_INSERT = (
+    "INSERT DATA { "
+    f'<{BENCH}e1> <{BENCH}marker> "1" . '
+    f"<{BENCH}e1> <{BENCH}kind> <{BENCH}Probe> . "
+    f'<{BENCH}e1> <{BENCH}label> "probe entity 1" . '
+    f"<{BENCH}e1> <{BENCH}owner> <{BENCH}client0> . "
+    f"<{BENCH}e1> <{BENCH}next> <{BENCH}e2> }}"
+)
+
+#: (write, its backend operations by kind). The crash matrices number
+#: their faults by these operations, so a count that moves re-numbers
+#: every recorded scenario.
+WRITE_PATH_OPS = [
+    (lambda store: store.update(ENTITY_INSERT),
+     {"execute": 14, "insert_many": 7}),
+    (lambda store: store.update(ENTITY_INSERT.replace("INSERT", "DELETE", 1)),
+     {"execute": 27}),
+    (FAILING_WRITES["add_spill"], {"execute": 4, "insert_many": 1}),
+    (FAILING_WRITES["delete_demote"], {"execute": 12}),
+]
+
+
+def test_writes_find_their_rows_through_the_entry_and_lid_indexes(monkeypatch):
+    """Every DELETE / UPDATE the loader issues pins ``entry`` or ``l_id``
+    to a constant, so minirel finds its rows through the hash index and
+    never scans DPH, RPH, DS or RS; the statement count per write is the
+    one the crash matrices are numbered by."""
+    scanned = []
+    scan_with_ids = Table.scan_with_ids
+
+    def recording_scan(table):
+        scanned.append(table.name)
+        return scan_with_ids(table)
+
+    monkeypatch.setattr(Table, "scan_with_ids", recording_scan)
+    chaos = ChaosBackend(MiniRelBackend())
+    store = RdfStore.from_graph(figure1_graph(), backend=chaos)
+    schema = store.schema
+    chaos.arm()
+    for write, expected in WRITE_PATH_OPS:
+        before = Counter(chaos.op_counts)
+        write(store)
+        assert dict(Counter(chaos.op_counts) - before) == expected
+    assert not {schema.dph, schema.rph, schema.ds, schema.rs} & set(scanned)
 
 
 def test_rollback_issues_no_backend_ops():
